@@ -245,12 +245,7 @@ def cmd_census(args) -> int:
     for system in ("fix", "torus"):
         report = census(args.n, system, args.samples, args.seed, cfg)
         reports.append(report.to_dict())
-        good = (
-            report.agrees_with_closed_form
-            and report.overall_success_rate >= 0.95
-            and report.cross_label_certificates == 0
-        )
-        ok = ok and good
+        ok = ok and report.passes_gate
         lines.append(
             f"{system}: components {report.estimated_components}"
             f"/{report.closed_form} (closed form), path classes {report.path_classes}, "
@@ -316,41 +311,29 @@ def _verify_checks(args):
         yield (f"n={n}: label counts match closed forms", counts_ok, "")
         if n <= 6:
             bad = ""
-            for label in fix_labels:
-                rep = canonical_representative(n, label)
-                res = fixed_point_residual(rep, n).max
-                if res > 1e-9:
-                    bad = f"{label} residual {res:.2e}"
-                    break
-                if classify_fix(rep, n, tol).text() != label.text():
-                    bad = f"{label} classifier round-trip failed"
-                    break
-            for label in torus_labels:
-                if bad:
-                    break
-                trep = canonical_torus_representative(n, label)
-                res = torus_residual(trep, n).max
-                if res > 1e-9:
-                    bad = f"{label} residual {res:.2e}"
-                    break
-                if classify_torus(trep, n, tol).text() != label.text():
-                    bad = f"{label} classifier round-trip failed"
-                    break
+            for labels, make, residual, classify in (
+                (fix_labels, canonical_representative, fixed_point_residual, classify_fix),
+                (torus_labels, canonical_torus_representative, torus_residual, classify_torus),
+            ):
+                for label in labels:
+                    if bad:
+                        break
+                    rep = make(n, label)
+                    res = residual(rep, n).max
+                    if res > 1e-9:
+                        bad = f"{label} residual {res:.2e}"
+                    elif classify(rep, n, tol).text() != label.text():
+                        bad = f"{label} classifier round-trip failed"
             yield (f"n={n}: representatives and round-trips", not bad, bad)
         if args.samples > 0:
             cfg = _path_config(args)
             for system in ("fix", "torus"):
                 report = census(n, system, args.samples, args.seed, cfg)
-                good = (
-                    report.agrees_with_closed_form
-                    and report.overall_success_rate >= 0.95
-                    and report.cross_label_certificates == 0
-                )
                 detail = (
                     f"components {report.estimated_components}/{report.closed_form}, "
                     f"success {report.overall_success_rate:.1%}"
                 )
-                yield (f"n={n}: {system} census", good, detail)
+                yield (f"n={n}: {system} census", report.passes_gate, detail)
 
 
 def cmd_verify(args) -> int:

@@ -36,6 +36,8 @@ from .su2 import (
     geodesic,
     geodesic_distance,
     haar_random,
+    qmul,
+    torus_snap,
 )
 
 __all__ = [
@@ -108,20 +110,9 @@ def _quat(u: SU2) -> tuple[float, float, float, float]:
     return (u.w, u.x, u.y, u.z)
 
 
-def _qmul(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
 def _qconj_by(g, v):
     gw, gx, gy, gz = g
-    return _qmul(_qmul(g, v), (gw, -gx, -gy, -gz))
+    return qmul(qmul(g, v), (gw, -gx, -gy, -gz))
 
 
 _BASIS = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
@@ -162,13 +153,13 @@ def project_pair_to_fiber(
         jac = np.empty((4, 6))
         for i, e in enumerate(_BASIS):
             ad = _qconj_by(gq, e)
-            col = _qmul(
+            col = qmul(
                 (e[0] - ad[0], e[1] - ad[1], e[2] - ad[2], e[3] - ad[3]), mq
             )
             jac[:, i] = col
             ad = _qconj_by(aq, e)
-            left = _qmul(ad, mq)
-            right = _qmul(mq, e)
+            left = qmul(ad, mq)
+            right = qmul(mq, e)
             jac[:, 3 + i] = (
                 left[0] - right[0],
                 left[1] - right[1],
@@ -260,11 +251,7 @@ def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
         return a, b
     move_second = b.angle() <= a.angle()
     anchor, moved = (a, b) if move_second else (b, a)
-    ux, uy, uz = anchor.axis()
-    dot = moved.x * ux + moved.y * uy + moved.z * uz
-    sign = 1.0 if dot >= 0.0 else -1.0
-    vn = math.sqrt(moved.x**2 + moved.y**2 + moved.z**2)
-    snapped = SU2(moved.w, sign * vn * ux, sign * vn * uy, sign * vn * uz)
+    snapped = torus_snap(moved, anchor.axis())
     return (a, snapped) if move_second else (snapped, b)
 
 

@@ -25,9 +25,11 @@ import numpy as np
 
 from .commutator import sample_fiber, solve_commutator
 from .su2 import (
+    E1,
     MINUS_ONE,
     ONE,
     SU2,
+    central_gap,
     commutator,
     exp_axis_angle,
     haar_random,
@@ -56,6 +58,9 @@ __all__ = [
     "enumerate_torus_labels",
     "classify_fix",
     "classify_torus",
+    "read_fix_label",
+    "read_torus_label",
+    "quantized_angle",
     "canonical_representative",
     "canonical_torus_representative",
     "randomized_representative",
@@ -234,12 +239,6 @@ def _validate_label(label: ComponentLabel, n: int) -> None:
 
 # -- classification ---------------------------------------------------------
 
-def _central_gap(u: SU2) -> tuple[float, int]:
-    d_plus = u.dist(ONE)
-    d_minus = u.dist(MINUS_ONE)
-    return (d_plus, 1) if d_plus <= d_minus else (d_minus, -1)
-
-
 def _quantized_index(theta: float, m: int, sigma: int, bound: int, what: str) -> int:
     value = m * theta / (2.0 * math.pi) if sigma > 0 else (m * theta / math.pi - 1.0) / 2.0
     k = round(value)
@@ -258,14 +257,19 @@ def classify_fix(rep: SurfaceRep, n: int, tol: float = 1e-9) -> ComponentLabel:
     Raises ValueError when the residual precondition fails and
     Unclassifiable when centrality or index rounding is ambiguous.
     """
+    res = fixed_point_residual(rep, abs(n)).max if n else 0.0
+    return read_fix_label(rep, n, res, tol)
+
+
+def read_fix_label(rep: SurfaceRep, n: int, residual: float, tol: float) -> ComponentLabel:
+    """classify_fix given the point's fixed-point residual, evaluated elsewhere."""
     m = abs(n)
     if m == 0:
         return CENTRAL
-    res = fixed_point_residual(rep, m).max
-    if res > tol:
-        raise ValueError(f"fixed-point residual {res:.3e} exceeds tol {tol:.1e}")
+    if residual > tol:
+        raise ValueError(f"fixed-point residual {residual:.3e} exceeds tol {tol:.1e}")
     a1n = rep.a1.power(m)
-    gap, sigma = _central_gap(a1n)
+    gap, sigma = central_gap(a1n)
     if gap > REFUSE_BAND:
         return CENTRAL
     sign = "+" if sigma > 0 else "-"
@@ -290,18 +294,26 @@ def classify_torus(trep: TorusRep, n: int, tol: float = 1e-9) -> TorusLabel:
     Points with non-central T all belong to the merged central component;
     for T at a central value epsilon the label lifts the fixed-point label.
     """
-    res = torus_residual(trep, n).max
-    if res > tol:
-        raise ValueError(f"torus residual {res:.3e} exceeds tol {tol:.1e}")
+    fix_res = fixed_point_residual(trep.rep, abs(n)).max if n else 0.0
+    return read_torus_label(trep, n, torus_residual(trep, n).max, fix_res, tol)
+
+
+def read_torus_label(
+    trep: TorusRep, n: int, residual: float, fix_residual: float, tol: float
+) -> TorusLabel:
+    """classify_torus given the torus residual of the point and the
+    fixed-point residual of its surface part at |n|, evaluated elsewhere."""
+    if residual > tol:
+        raise ValueError(f"torus residual {residual:.3e} exceeds tol {tol:.1e}")
     if abs(n) == 0:
         return TORUS_CENTRAL
-    gap, epsilon = _central_gap(trep.t)
+    gap, epsilon = central_gap(trep.t)
     if gap > REFUSE_BAND:
         return TORUS_CENTRAL
     if gap > SNAP_BAND:
         # annulus: agree only when both readings of T give the central label
         try:
-            fix = classify_fix(trep.rep, n, tol)
+            fix = read_fix_label(trep.rep, n, fix_residual, tol)
         except ValueError:
             # surface part off the fixed-point set, so T is not exactly
             # central and the tuple sits in the merged component
@@ -312,7 +324,7 @@ def classify_torus(trep: TorusRep, n: int, tol: float = 1e-9) -> TorusLabel:
             f"T at distance {gap:.2e} from the center over the component {fix}"
         )
     try:
-        fix = classify_fix(trep.rep, n, tol)
+        fix = read_fix_label(trep.rep, n, fix_residual, tol)
     except ValueError as exc:
         if isinstance(exc, Unclassifiable):
             raise
@@ -326,18 +338,8 @@ def classify_torus(trep: TorusRep, n: int, tol: float = 1e-9) -> TorusLabel:
 
 # -- representatives ---------------------------------------------------------
 
-_AXIS1 = (1.0, 0.0, 0.0)
-
-
-def _quantized_angle(m: int, sign: str, k: int) -> float:
+def quantized_angle(m: int, sign: str, k: int) -> float:
     return 2.0 * math.pi * k / m if sign == "+" else (2 * k + 1) * math.pi / m
-
-
-def _label_angles(label: ComponentLabel, m: int) -> tuple[float, float]:
-    return (
-        _quantized_angle(m, label.sign, label.k),
-        _quantized_angle(m, label.sign, label.l),
-    )
 
 
 def canonical_representative(n: int, label: ComponentLabel) -> SurfaceRep:
@@ -351,9 +353,10 @@ def canonical_representative(n: int, label: ComponentLabel) -> SurfaceRep:
     if label.is_central:
         return trivial_rep()
     m = abs(n)
-    theta_k, theta_l = _label_angles(label, m)
-    a1 = exp_axis_angle(_AXIS1, theta_k)
-    x_target = exp_axis_angle(_AXIS1, theta_l)
+    theta_k = quantized_angle(m, label.sign, label.k)
+    theta_l = quantized_angle(m, label.sign, label.l)
+    a1 = exp_axis_angle(E1, theta_k)
+    x_target = exp_axis_angle(E1, theta_l)
     a3, b3 = solve_commutator(x_target * a1.inverse())
     a2, b2 = solve_commutator(commutator(a3, b3).inverse())
     return SurfaceRep(a1, ONE, a2, b2, a3, b3)
@@ -372,44 +375,44 @@ def _random_unit_axis(rng: np.random.Generator) -> tuple[float, float, float]:
     return (float(v[0]), float(v[1]), float(v[2]))
 
 
-def _random_solution_pair(c: SU2, rng: np.random.Generator):
-    return sample_fiber(c, rng, tol=1e-12)
-
-
 def _random_abelian_rep(rng: np.random.Generator) -> SurfaceRep:
     axis = _random_unit_axis(rng)
     els = [exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)) for _ in range(6)]
     return SurfaceRep(*els)
 
 
-def _random_torus_core_rep(m: int, rng: np.random.Generator) -> SurfaceRep:
-    # a1^m firmly non-central; a3, b3 on a1's torus; b1 free
+def _off_center_a1(k: int, rng: np.random.Generator) -> SU2:
+    """Haar A1 with A1^k firmly away from the center."""
     for _ in range(256):
         a1 = haar_random(rng)
-        if _central_gap(a1.power(m))[0] > 10.0 * REFUSE_BAND:
-            break
-    else:
-        raise RuntimeError("could not sample a1 with a1^m away from the center")
+        if central_gap(a1.power(k))[0] > 10.0 * REFUSE_BAND:
+            return a1
+    raise RuntimeError(f"could not sample a1 with a1^{k} away from the center")
+
+
+def _random_torus_core_rep(m: int, rng: np.random.Generator) -> SurfaceRep:
+    # a1^m firmly non-central; a3, b3 on a1's torus; b1 free
+    a1 = _off_center_a1(m, rng)
     axis = a1.axis()
     a3 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
     b3 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
     b1 = haar_random(rng)
     c = commutator(a1, b1).inverse() * commutator(a3, b3).inverse()
-    a2, b2 = _random_solution_pair(c, rng)
+    a2, b2 = sample_fiber(c, rng, tol=1e-12)
     return SurfaceRep(a1, b1, a2, b2, a3, b3)
 
 
 def _random_quantized_rep(
     m: int, sign: str, k: int, l: int, rng: np.random.Generator
 ) -> SurfaceRep:
-    theta_k = _quantized_angle(m, sign, k)
-    theta_l = _quantized_angle(m, sign, l)
+    theta_k = quantized_angle(m, sign, k)
+    theta_l = quantized_angle(m, sign, l)
     a1 = exp_axis_angle(_random_unit_axis(rng), theta_k)
     x_target = exp_axis_angle(_random_unit_axis(rng), theta_l)
-    a3, b3 = _random_solution_pair(x_target * a1.inverse(), rng)
+    a3, b3 = sample_fiber(x_target * a1.inverse(), rng, tol=1e-12)
     b1 = haar_random(rng)
     c = commutator(a1, b1).inverse() * commutator(a3, b3).inverse()
-    a2, b2 = _random_solution_pair(c, rng)
+    a2, b2 = sample_fiber(c, rng, tol=1e-12)
     return SurfaceRep(a1, b1, a2, b2, a3, b3)
 
 
@@ -478,15 +481,10 @@ def random_extended_fixed_sample(n: int, rng: np.random.Generator) -> TorusRep:
     two-point intertwiner fiber.
     """
     s = ONE if rng.integers(2) == 0 else MINUS_ONE
-    for _ in range(256):
-        a1 = haar_random(rng)
-        if _central_gap(a1.power(n))[0] > 10.0 * REFUSE_BAND:
-            break
-    else:
-        raise RuntimeError("could not sample a1 with a1^n away from the center")
+    a1 = _off_center_a1(n, rng)
     b1 = haar_random(rng)
     t = s * (b1 * a1.power(-n) * b1.inverse())
-    a3, b3 = _random_solution_pair(commutator(b1, a1), rng)
+    a3, b3 = sample_fiber(commutator(b1, a1), rng, tol=1e-12)
     axis = t.axis()
     a2 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
     b2 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))

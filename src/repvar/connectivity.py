@@ -34,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .components import (
     REFUSE_BAND,
     SNAP_BAND,
     TORUS_CENTRAL,
+    ComponentLabel,
     Unclassifiable,
     canonical_representative,
     canonical_torus_representative,
@@ -59,18 +60,25 @@ from .components import (
     count_torus,
     enumerate_fix_labels,
     enumerate_torus_labels,
+    quantized_angle,
     randomized_representative,
     randomized_torus_representative,
+    read_fix_label,
+    read_torus_label,
 )
 from .su2 import (
+    E1,
     MINUS_ONE,
     ONE,
     SU2,
     align_conjugator,
+    axis_rotation,
+    central_gap,
     commutator,
     exp_axis_angle,
     geodesic,
     geodesic_distance,
+    torus_snap,
 )
 from .varieties import (
     Rep,
@@ -80,6 +88,7 @@ from .varieties import (
     project_to_variety,
     rep_from_dict,
     rep_to_dict,
+    residual_array,
     residual_for,
     trivial_rep,
 )
@@ -107,9 +116,6 @@ __all__ = [
 CERT_FORMAT = "pathcert-1"
 
 _SYSTEM_IDS = {"fix": 0, "torus": 1, "surface": 2}
-
-_AXIS1 = (1.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -171,52 +177,14 @@ def _route_to_one(el: SU2, max_step: float, prefer_axis=None) -> list[SU2]:
     try:
         axis = el.axis()
     except ValueError:
-        axis = prefer_axis if prefer_axis is not None else _AXIS1
+        axis = prefer_axis if prefer_axis is not None else E1
     steps = _chop(theta, max_step)
     return [exp_axis_angle(axis, theta * (1 - i / steps)) for i in range(1, steps + 1)]
 
 
-def _torus_snap(el: SU2, axis) -> SU2:
-    """Nearest element on the maximal torus of `axis` with the same angle."""
-    ux, uy, uz = axis
-    dot = el.x * ux + el.y * uy + el.z * uz
-    sign = 1.0 if dot >= 0.0 else -1.0
-    vn = math.sqrt(el.x**2 + el.y**2 + el.z**2)
-    if vn == 0.0:
-        return el
-    return SU2(el.w, sign * vn * ux, sign * vn * uy, sign * vn * uz)
-
-
-def _central_gap(u: SU2) -> tuple[float, int]:
-    dp = u.dist(ONE)
-    dm = u.dist(MINUS_ONE)
-    return (dp, 1) if dp <= dm else (dm, -1)
-
-
-def _axis_rotation(a0, a1) -> tuple[tuple[float, float, float], float] | None:
-    """Rotation axis and angle carrying unit vector a0 onto a1 (None if equal)."""
-    d = a0[0] * a1[0] + a0[1] * a1[1] + a0[2] * a1[2]
-    cx = a0[1] * a1[2] - a0[2] * a1[1]
-    cy = a0[2] * a1[0] - a0[0] * a1[2]
-    cz = a0[0] * a1[1] - a0[1] * a1[0]
-    cn = math.sqrt(cx * cx + cy * cy + cz * cz)
-    if cn < 1e-14:
-        if d > 0.0:
-            return None
-        dots = [abs(a0[0]), abs(a0[1]), abs(a0[2])]
-        i = dots.index(min(dots))
-        e = [0.0, 0.0, 0.0]
-        e[i] = 1.0
-        proj = (e[0] - a0[0] * a0[i], e[1] - a0[1] * a0[i], e[2] - a0[2] * a0[i])
-        nn = math.sqrt(proj[0] ** 2 + proj[1] ** 2 + proj[2] ** 2)
-        return (proj[0] / nn, proj[1] / nn, proj[2] / nn), math.pi
-    psi = math.atan2(cn, max(-1.0, min(1.0, d)))
-    return (cx / cn, cy / cn, cz / cn), psi
-
-
 def _constant_angle_path(x: SU2, target_axis) -> tuple[Callable[[float], SU2], float]:
     """Path q(t) x q(t)^-1 rotating axis(x) onto target_axis; returns (path, psi)."""
-    rot = _axis_rotation(x.axis(), target_axis)
+    rot = axis_rotation(x.axis(), target_axis, tol=1e-14)
     if rot is None:
         return (lambda t: x), 0.0
     m, psi = rot
@@ -242,7 +210,7 @@ def _finish(
     points: list[Rep], system: str, n: int, label_text: str, cfg: PathConfig
 ) -> PathCertificate:
     pts = _dedupe(points)
-    max_residual = max(residual_for(p, system, n).max for p in pts)
+    max_residual = float(residual_array(pts, system, n).max())
     max_step = max((_rep_step(p, q) for p, q in zip(pts, pts[1:])), default=0.0)
     if max_residual > cfg.residual_tol:
         raise PathError(
@@ -264,25 +232,42 @@ class VerificationReport:
     problems: tuple[str, ...]
 
 
+def _label_texts(
+    pts: Sequence[Rep], system: str, n: int, tol: float, residuals: np.ndarray
+) -> list[str | None]:
+    """Label text per point (None where unclassifiable at tol), given the
+    points' residuals in `system`; only the label readings run per point."""
+    if system not in ("fix", "torus"):
+        return [""] * len(pts)
+    fix_residuals = residuals
+    if system == "torus" and n:
+        fix_residuals = residual_array([p.rep for p in pts], "fix", abs(n)).max(axis=1)
+    out: list[str | None] = []
+    for p, res, fix_res in zip(pts, residuals, fix_residuals):
+        try:
+            if system == "fix":
+                out.append(read_fix_label(p, n, res, tol).text())
+            else:
+                out.append(read_torus_label(p, n, res, fix_res, tol).text())
+        except ValueError:
+            out.append(None)
+    return out
+
+
 def _classify_text(rep: Rep, system: str, n: int, tol: float) -> str | None:
     """Label text, or None when the point cannot be classified at tol."""
-    try:
-        if system == "fix":
-            return classify_fix(rep, n, tol).text()
-        if system == "torus":
-            return classify_torus(rep, n, tol).text()
-        return ""
-    except (Unclassifiable, ValueError):
-        return None
+    residual = residual_array([rep], system, n).max(axis=1)
+    return _label_texts([rep], system, n, tol, residual)[0]
 
 
 def verify_certificate(cert: PathCertificate) -> VerificationReport:
     """Independent re-check of every certificate invariant.
 
-    Uses only the residual and classifier primitives: per-point residuals
-    against the stated maximum, the stated maximum against the stated
-    tolerance, consecutive steps against the stated step bound, endpoint
-    labels against the stated label, and label constancy at every
+    Uses only the residual table (one batched evaluation, which doubles as
+    the classifiers' precondition) and the label readings: per-point
+    residuals against the stated maximum, the stated maximum against the
+    stated tolerance, consecutive steps against the stated step bound,
+    endpoint labels against the stated label, and label constancy at every
     classifiable interior point.
     """
     problems: list[str] = []
@@ -293,8 +278,8 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         problems.append(
             f"stated residual bound {cert.max_residual:.3e} exceeds tolerance {cert.tol:.1e}"
         )
-    for i, p in enumerate(pts):
-        r = residual_for(p, cert.system, cert.n).max
+    residuals = residual_array(pts, cert.system, cert.n).max(axis=1)
+    for i, r in enumerate(residuals):
         if r > cert.max_residual + 1e-14:
             problems.append(f"point {i}: residual {r:.3e} above stated bound")
     for i, (p, q) in enumerate(zip(pts, pts[1:])):
@@ -302,8 +287,9 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         if s > cert.max_step + 1e-12:
             problems.append(f"step {i}->{i + 1}: {s:.4f} above stated bound")
     if cert.system in ("fix", "torus"):
+        texts = _label_texts(pts, cert.system, cert.n, cert.tol, residuals)
         for idx in (0, len(pts) - 1):
-            text = _classify_text(pts[idx], cert.system, cert.n, cert.tol)
+            text = texts[idx]
             if text is None:
                 problems.append(f"endpoint {idx} is unclassifiable")
             elif text != cert.label:
@@ -311,7 +297,7 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
                     f"endpoint {idx} classifies as {text!r}, certificate says {cert.label!r}"
                 )
         for i in range(1, len(pts) - 1):
-            text = _classify_text(pts[i], cert.system, cert.n, cert.tol)
+            text = texts[i]
             if text is not None and text != cert.label:
                 problems.append(f"interior point {i} classifies as {text!r}")
     return VerificationReport(not problems, tuple(problems))
@@ -390,7 +376,7 @@ def _track_b1_leg(
 
     if b1.dot(ONE) < -1.0 + 1e-9:
         # B1 at -1: route through a quarter turn
-        way_axis = _AXIS1 if a1.is_central(1e-9) else a1.axis()
+        way_axis = E1 if a1.is_central(1e-9) else a1.axis()
         waypoint = exp_axis_angle(way_axis, math.pi / 2.0)
 
         def b1_path(t: float) -> SU2:
@@ -518,10 +504,6 @@ def _contract_commuting_tail(rep: SurfaceRep, cfg: PathConfig) -> list[SurfaceRe
     return points
 
 
-def _label_angle(m: int, sign: str, k: int) -> float:
-    return 2.0 * math.pi * k / m if sign == "+" else (2 * k + 1) * math.pi / m
-
-
 def _snap_to_angle(el: SU2, theta: float) -> SU2:
     """Same axis as el, exact angle theta; +-1 for central angles."""
     if math.sin(theta) < 1e-12:
@@ -536,7 +518,7 @@ def _quantize_angle(a1: SU2, m: int, sigma: int) -> float:
         else (m * a1.angle() / math.pi - 1.0) / 2.0
     )
     k = round(value)
-    return _label_angle(m, "+" if sigma > 0 else "-", k)
+    return quantized_angle(m, "+" if sigma > 0 else "-", k)
 
 
 def _central_descent(
@@ -550,7 +532,7 @@ def _central_descent(
         y0 = commutator(current.a3, current.b3)
         if y0.dist(ONE) > 1e-12:
             if y0.dot(ONE) < -1.0 + 1e-9:
-                mid = exp_axis_angle(_AXIS1, math.pi / 2.0)
+                mid = exp_axis_angle(E1, math.pi / 2.0)
 
                 def y_path(t: float) -> SU2:
                     if t <= 0.5:
@@ -572,14 +554,14 @@ def _central_descent(
         points += _contract_commuting_tail(current, cfg)
         return points
 
-    gap, sigma = _central_gap(current.a1.power(m))
+    gap, sigma = central_gap(current.a1.power(m))
     if gap > REFUSE_BAND:
         # A1^m non-central: A3, B3 already sit on A1's maximal torus
         axis = current.a1.axis()
         snapped = replace(
             current,
-            a3=_torus_snap(current.a3, axis),
-            b3=_torus_snap(current.b3, axis),
+            a3=torus_snap(current.a3, axis),
+            b3=torus_snap(current.b3, axis),
         )
         snapped = _snap_pairs_commuting(snapped)
         points.append(snapped)
@@ -621,6 +603,14 @@ def canonical_path(
     """Certificate from `rep` to the canonical representative of its label."""
     cfg = cfg or PathConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
+    label, points = _fix_path_points(rep, n, cfg, rng)
+    return _finish(points, "fix", n, label.text(), cfg)
+
+
+def _fix_path_points(
+    rep: SurfaceRep, n: int, cfg: PathConfig, rng: np.random.Generator
+) -> tuple[ComponentLabel, list[SurfaceRep]]:
+    """Label of `rep` and the staged path's nodes, not yet assembled."""
     label = classify_fix(rep, n, cfg.residual_tol)
     m = abs(n)
     points: list[SurfaceRep] = [rep]
@@ -629,15 +619,15 @@ def canonical_path(
     if label.is_central:
         points += _central_descent(points[-1], m, cfg, rng)
         points.append(trivial_rep())
-        return _finish(points, "fix", n, label.text(), cfg)
+        return label, points
 
     current = points[-1]
-    theta_k = _label_angle(m, label.sign, label.k)
-    theta_l = _label_angle(m, label.sign, label.l)
+    theta_k = quantized_angle(m, label.sign, label.k)
+    theta_l = quantized_angle(m, label.sign, label.l)
 
     # global conjugation aligning A1's axis with the reference axis
     if math.sin(theta_k) > 1e-12:
-        target_a1 = exp_axis_angle(_AXIS1, current.a1.angle())
+        target_a1 = exp_axis_angle(E1, current.a1.angle())
         g = align_conjugator(current.a1, target_a1, trace_tol=1e-6)
         for node in _conjugation_nodes(current, g, cfg):
             points.append(node)
@@ -662,7 +652,7 @@ def canonical_path(
 
     # rotate X onto the reference axis at constant angle
     if math.sin(theta_l) > 1e-12:
-        x_path, psi = _constant_angle_path(x_snapped, _AXIS1)
+        x_path, psi = _constant_angle_path(x_snapped, E1)
         if psi > 1e-12:
             a1_inv = current.a1.inverse()
 
@@ -709,7 +699,7 @@ def canonical_path(
         current = replace(current, a2=pa, b2=pb)
         points.append(current)
     points.append(target)
-    return _finish(points, "fix", n, label.text(), cfg)
+    return label, points
 
 
 def _conjugation_nodes(rep: Rep, g: SU2, cfg: PathConfig) -> list[Rep]:
@@ -728,23 +718,19 @@ def _conjugation_nodes(rep: Rep, g: SU2, cfg: PathConfig) -> list[Rep]:
 
 # -- canonical staged paths (torus system) -----------------------------------
 
-def _lift_points(points: Iterable[SurfaceRep], t: SU2) -> list[TorusRep]:
-    return [TorusRep(t, p) for p in points]
-
-
 def _bridge_to_plus_one(n: int, cfg: PathConfig) -> list[TorusRep]:
     """Explicit nodes from (-1, trivial) to (1, trivial)."""
     out: list[TorusRep] = []
     triv = trivial_rep()
     if n == 0:
-        for node in _route_to_one(MINUS_ONE, cfg.max_step, prefer_axis=_AXIS1):
+        for node in _route_to_one(MINUS_ONE, cfg.max_step, prefer_axis=E1):
             out.append(TorusRep(node, triv))
         return out
     m = abs(n)
     omega_angle = math.pi / m
     steps = _chop((1 + m) * omega_angle, cfg.max_step)
     for i in range(1, steps + 1):
-        a = exp_axis_angle(_AXIS1, omega_angle * i / steps)
+        a = exp_axis_angle(E1, omega_angle * i / steps)
         t = MINUS_ONE * a.power(-n)
         out.append(TorusRep(t, replace(triv, a1=a, b3=a)))
     current = out[-1]
@@ -758,7 +744,7 @@ def _bridge_to_plus_one(n: int, cfg: PathConfig) -> list[TorusRep]:
 def _all_commuting_descent(trep: TorusRep, cfg: PathConfig) -> list[TorusRep]:
     """Descent for mutually commuting tuples with non-central T."""
     axis = trep.t.axis()
-    snapped = SurfaceRep(*(_torus_snap(el, axis) for el in trep.rep.elements()))
+    snapped = SurfaceRep(*(torus_snap(el, axis) for el in trep.rep.elements()))
     out = [TorusRep(trep.t, snapped)]
     current = out[-1]
     for name in ("a3", "b3", "a2", "b2", "b1", "a1"):
@@ -785,7 +771,7 @@ def _boundary_stratum_descent(
         raise PathError("no boundary stratum at n = 0", stage="boundary")
     rep = trep.rep
     txn = trep.t * derived_x(rep).power(n)
-    gap, s_sign = _central_gap(txn)
+    gap, s_sign = central_gap(txn)
     if gap > 10 * SNAP_BAND:
         raise PathError(
             f"T X^n at distance {gap:.2e} from the center: unrecognized stratum",
@@ -817,8 +803,8 @@ def _boundary_stratum_descent(
         current.t,
         replace(
             current.rep,
-            a2=_torus_snap(current.rep.a2, axis_t),
-            b2=_torus_snap(current.rep.b2, axis_t),
+            a2=torus_snap(current.rep.a2, axis_t),
+            b2=torus_snap(current.rep.b2, axis_t),
         ),
     )
     out.append(current)
@@ -871,22 +857,15 @@ def canonical_torus_path(
     label = classify_torus(trep, n, cfg.residual_tol)
     points: list[TorusRep] = [trep]
 
-    gap, eps_sign = _central_gap(trep.t)
-    if not label.is_central:
-        eps = ONE if label.epsilon > 0 else MINUS_ONE
-        current = TorusRep(eps, trep.rep)
-        points.append(current)
-        fix_cert = canonical_path(current.rep, n, cfg, rng)
-        points += _lift_points(fix_cert.points[1:], eps)
-        return _finish(points, "torus", n, label.text(), cfg)
-
+    gap, eps_sign = central_gap(trep.t)
     if gap <= SNAP_BAND:
-        # central T: descend inside the fixed-point slice, then bridge
+        # central T (as every non-central label has): lift the fix path
         eps = ONE if eps_sign > 0 else MINUS_ONE
-        current = TorusRep(eps, trep.rep)
-        points.append(current)
-        fix_cert = canonical_path(current.rep, n, cfg, rng)
-        points += _lift_points(fix_cert.points[1:], eps)
+        points.append(TorusRep(eps, trep.rep))
+        _, fix_points = _fix_path_points(trep.rep, n, cfg, rng)
+        points += [TorusRep(eps, p) for p in fix_points[1:]]
+        if not label.is_central:
+            return _finish(points, "torus", n, label.text(), cfg)
         if eps_sign < 0:
             points += _bridge_to_plus_one(n, cfg)
     else:
@@ -950,18 +929,17 @@ def probe_path(
 
     # walk the interpolant from r0 toward r1, projecting each predictor;
     # the fraction halves on failure, which plays the role of bisection
-    # depth in budgeting the search
+    # depth.  Every projection attempt, placed or not, counts against one
+    # budget of 2**bisection_depth, so a stuck walk fails fast.
     points: list[Rep] = [r0]
     budget = 2**cfg.bisection_depth
-    while len(points) < budget:
+    while (remaining := _rep_step(points[-1], r1)) > cfg.max_step:
         current = points[-1]
-        remaining = _rep_step(current, r1)
-        if remaining <= cfg.max_step:
-            points.append(r1)
-            break
         frac = min(1.0, 0.8 * cfg.max_step / remaining)
-        placed = False
         for _ in range(cfg.bisection_depth):
+            if budget == 0:
+                raise PathError("projection budget exhausted", stage="probe")
+            budget -= 1
             try:
                 nxt = advance(current, r1, frac)
             except (PathError, ValueError):
@@ -970,44 +948,18 @@ def probe_path(
             step = _rep_step(current, nxt)
             if step <= cfg.max_step and _rep_step(nxt, r1) < remaining - 0.25 * step:
                 points.append(nxt)
-                placed = True
                 break
             frac *= 0.5
-        if not placed:
+        else:
             raise PathError(
                 f"no admissible step at distance {remaining:.3f} from the target",
                 stage="probe",
             )
-    else:
-        raise PathError("node budget exhausted", stage="probe")
+    points.append(r1)
     return _finish(points, system, n, label0, cfg)
 
 
 # -- Monte Carlo census -------------------------------------------------------
-
-class _UnionFind:
-    def __init__(self):
-        self._parent: dict[str, str] = {}
-
-    def add(self, key: str) -> None:
-        self._parent.setdefault(key, key)
-
-    def find(self, key: str) -> str:
-        root = key
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[key] != root:
-            self._parent[key], key = root, self._parent[key]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def class_count(self) -> int:
-        return sum(1 for k in self._parent if self.find(k) == k)
-
 
 @dataclass(frozen=True)
 class CensusRow:
@@ -1039,6 +991,15 @@ class CensusReport:
     @property
     def agrees_with_closed_form(self) -> bool:
         return self.estimated_components == self.closed_form
+
+    @property
+    def passes_gate(self) -> bool:
+        """Closed form met, at least 95% of samples pathed, none across labels."""
+        return (
+            self.agrees_with_closed_form
+            and self.overall_success_rate >= 0.95
+            and self.cross_label_certificates == 0
+        )
 
     @property
     def overall_success_rate(self) -> float:
@@ -1087,9 +1048,10 @@ def census(
     Per-sample generators are pure functions of (seed, system, label index,
     sample index), so results do not depend on scheduling.  Failures are
     reported, never raised.  The component estimate is the number of
-    distinct labels observed (the exact-invariant channel); the union-find
-    class count over anchors and successfully pathed samples is the
-    path-evidence channel.
+    distinct labels observed (the exact-invariant channel).  The path
+    channel, `path_classes`, is one class per label plus one per sample
+    left without a verified path: a certificate joins a sample to its own
+    label's canonical representative, never two labels to each other.
     """
     cfg = cfg or PathConfig()
     if system == "fix":
@@ -1102,10 +1064,6 @@ def census(
         raise ValueError(f"census runs on 'fix' or 'torus', not {system!r}")
     system_id = _SYSTEM_IDS[system]
 
-    uf = _UnionFind()
-    for label in labels:
-        uf.add(f"anchor:{label.text()}")
-
     observed: set[str] = set()
     rows: list[CensusRow] = []
     cross_label = 0
@@ -1116,8 +1074,6 @@ def census(
         path_ok = 0
         for i in range(samples_per_label):
             rng = np.random.default_rng([seed, system_id, li, i])
-            key = f"s:{li}:{i}"
-            uf.add(key)
             try:
                 if system == "fix":
                     rep = randomized_representative(n, label, rng)
@@ -1149,7 +1105,6 @@ def census(
             if first != last:
                 cross_label += 1
                 continue
-            uf.union(key, f"anchor:{got}")
             path_ok += 1
         rows.append(CensusRow(label.text(), samples_per_label, classified, path_ok))
     return CensusReport(
@@ -1160,7 +1115,7 @@ def census(
         closed_form=closed,
         labels_observed=tuple(sorted(observed)),
         estimated_components=len(observed),
-        path_classes=uf.class_count(),
+        path_classes=len(labels) + sum(r.samples - r.path_ok for r in rows),
         unresolved_samples=unresolved,
         cross_label_certificates=cross_label,
         label_anomalies=anomalies,

@@ -35,6 +35,10 @@ __all__ = [
     "haar_random",
     "align_conjugator",
     "AlignmentError",
+    "central_gap",
+    "axis_rotation",
+    "qmul",
+    "torus_snap",
 ]
 
 
@@ -155,6 +159,36 @@ E2 = (0.0, 1.0, 0.0)
 E3 = (0.0, 0.0, 1.0)
 
 
+def central_gap(u: SU2) -> tuple[float, int]:
+    """Distance to the nearer central element and its sign (+1 on ties)."""
+    d_plus = u.dist(ONE)
+    d_minus = u.dist(MINUS_ONE)
+    return (d_plus, 1) if d_plus <= d_minus else (d_minus, -1)
+
+
+def qmul(a, b):
+    """Product of quaternion 4-tuples of floats or numpy arrays, not renormalized."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def torus_snap(el: SU2, axis) -> SU2:
+    """Nearest element on the maximal torus of `axis` with the same angle."""
+    ux, uy, uz = axis
+    dot = el.x * ux + el.y * uy + el.z * uz
+    sign = 1.0 if dot >= 0.0 else -1.0
+    vn = math.sqrt(el.x**2 + el.y**2 + el.z**2)
+    if vn == 0.0:
+        return el
+    return SU2(el.w, sign * vn * ux, sign * vn * uy, sign * vn * uz)
+
+
 def commutator(a: SU2, b: SU2) -> SU2:
     """a * b * a^-1 * b^-1."""
     return a * b * a.inverse() * b.inverse()
@@ -239,6 +273,20 @@ def _orthogonal_axis(a: tuple[float, float, float]) -> tuple[float, float, float
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
+def axis_rotation(a0, a1, tol: float = 1e-15):
+    """(unit axis, angle) of the rotation carrying unit vector a0 onto a1
+    about their cross product; by pi about a deterministic orthogonal axis
+    when anti-parallel, None when equal (cross product below `tol`)."""
+    d = _clamp(a0[0] * a1[0] + a0[1] * a1[1] + a0[2] * a1[2])
+    cx = a0[1] * a1[2] - a0[2] * a1[1]
+    cy = a0[2] * a1[0] - a0[0] * a1[2]
+    cz = a0[0] * a1[1] - a0[1] * a1[0]
+    cn = math.sqrt(cx * cx + cy * cy + cz * cz)
+    if cn < tol:
+        return None if d > 0.0 else (_orthogonal_axis(a0), math.pi)
+    return (cx / cn, cy / cn, cz / cn), math.atan2(cn, d)
+
+
 def align_conjugator(c0: SU2, c1: SU2, trace_tol: float = 1e-9) -> SU2:
     """An element g with g * c0 * g^-1 = c1, for trace-equal c0, c1.
 
@@ -254,21 +302,8 @@ def align_conjugator(c0: SU2, c1: SU2, trace_tol: float = 1e-9) -> SU2:
         )
     if c0.dist(c1) < 1e-12:
         return ONE
-    a0 = c0.axis()
-    a1 = c1.axis()
-    d = _clamp(a0[0] * a1[0] + a0[1] * a1[1] + a0[2] * a1[2])
-    cx = a0[1] * a1[2] - a0[2] * a1[1]
-    cy = a0[2] * a1[0] - a0[0] * a1[2]
-    cz = a0[0] * a1[1] - a0[1] * a1[0]
-    cn = math.sqrt(cx * cx + cy * cy + cz * cz)
-    if cn < 1e-15:
-        if d > 0.0:
-            g = ONE
-        else:
-            g = exp_axis_angle(_orthogonal_axis(a0), math.pi / 2.0)
-    else:
-        psi = math.atan2(cn, d)
-        g = exp_axis_angle((cx / cn, cy / cn, cz / cn), psi / 2.0)
+    rot = axis_rotation(c0.axis(), c1.axis())
+    g = ONE if rot is None else exp_axis_angle(rot[0], rot[1] / 2.0)
     if c0.conjugate_by(g).dist(c1) > 1e-10:
         raise AlignmentError("conjugation failed to align the pair within 1e-10")
     return g

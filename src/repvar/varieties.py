@@ -30,16 +30,17 @@ scaling, so they do not drift for large n.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .commutator import randomize_in_fiber, solve_commutator
 from .solvers import refine_elements
-from .su2 import MINUS_ONE, ONE, SU2, commutator, haar_random
+from .su2 import MINUS_ONE, ONE, SU2, commutator, haar_random, qmul
 from .words import SURFACE_GENERATORS, Generator, evaluate, phi_substitution
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "fixed_point_residual",
     "torus_residual",
     "residual_for",
+    "residual_array",
     "random_surface_rep",
     "project_to_variety",
     "VarietyProjection",
@@ -154,65 +156,139 @@ def derived_x(rep: SurfaceRep) -> SU2:
     return commutator(rep.a3, rep.b3) * rep.a1
 
 
-def _relator_value(rep: SurfaceRep) -> SU2:
+# -- the equation tables -------------------------------------------------------
+#
+# Each system is written once, as (tag, lhs, rhs) terms over quaternion
+# 4-tuples of floats (one point) or numpy (N,) arrays (N points), with
+# `ops` = (sqrt, atan2, sin, cos, where) to match.  The residual report,
+# the least-squares vector and the batched residual array all read them.
+
+_FLOAT_OPS = (math.sqrt, math.atan2, math.sin, math.cos, lambda c, a, b: a if c else b)
+_ARRAY_OPS = (np.sqrt, np.arctan2, np.sin, np.cos, np.where)
+_ONE_Q = (1.0, 0.0, 0.0, 0.0)
+
+# below this many points a batch is cheaper point by point on floats
+_BATCH_MIN = 8
+
+
+def _qinv(a):
+    w, x, y, z = a
+    return (w, -x, -y, -z)
+
+
+def _qcomm(a, b):
+    return qmul(qmul(qmul(a, b), _qinv(a)), _qinv(b))
+
+
+def _qpow(a, k: int, ops):
+    """a^k by exact angle scaling, as SU2.power; central a gives exactly +-1."""
+    sqrt, atan2, sin, cos, where = ops
+    w, x, y, z = a
+    vn = sqrt(x * x + y * y + z * z)
+    central = vn == 0.0
+    kt = k * atan2(vn, w)
+    s = sin(kt) / where(central, 1.0, vn)
+    sign = 1.0 if k % 2 == 0 else where(w > 0.0, 1.0, -1.0)
+    return (where(central, sign, cos(kt)), s * x, s * y, s * z)
+
+
+def _relator(a1, b1, a2, b2, a3, b3):
+    """[A1,B1][A2,B2][A3,B3], together with its last factor [A3,B3]."""
+    c3 = _qcomm(a3, b3)
+    return qmul(qmul(_qcomm(a1, b1), _qcomm(a2, b2)), c3), c3
+
+
+def _fix_terms(q, n: int, ops):
+    a1, b1, a2, b2, a3, b3 = q
+    rel, c3 = _relator(*q)
+    xn = _qpow(qmul(c3, a1), n, ops)
     return (
-        commutator(rep.a1, rep.b1)
-        * commutator(rep.a2, rep.b2)
-        * commutator(rep.a3, rep.b3)
+        ("relator", rel, _ONE_Q),
+        ("a1", qmul(xn, a1), qmul(a1, xn)),
+        ("b1", _qpow(a1, n, ops), xn),
+        ("a3", qmul(xn, a3), qmul(a3, xn)),
+        ("b3", qmul(xn, b3), qmul(b3, xn)),
     )
+
+
+def _torus_terms(q, n: int, ops):
+    t, a1, b1, a2, b2, a3, b3 = q
+    rel, c3 = _relator(*q[1:])
+    xn = _qpow(qmul(c3, a1), n, ops)
+    txn = qmul(t, xn)
+    b1_lhs = qmul(qmul(qmul(_qinv(b1), _qinv(t)), b1), t)
+    return (
+        ("relator", rel, _ONE_Q),
+        ("a1", qmul(a1, txn), qmul(txn, a1)),
+        ("b1", b1_lhs, qmul(_qpow(a1, n, ops), _qinv(xn))),
+        ("a2", qmul(a2, t), qmul(t, a2)),
+        ("b2", qmul(b2, t), qmul(t, b2)),
+        ("a3", qmul(a3, txn), qmul(txn, a3)),
+        ("b3", qmul(b3, txn), qmul(txn, b3)),
+    )
+
+
+def _surface_terms(q, n: int, ops):
+    return (("relator", _relator(*q)[0], _ONE_Q),)
+
+
+_TABLES = {"surface": _surface_terms, "fix": _fix_terms, "torus": _torus_terms}
+
+
+def _gap(lhs, rhs, sqrt):
+    return sqrt(sum((u - v) * (u - v) for u, v in zip(lhs, rhs)))
+
+
+def _quats(rep: Rep, system: str) -> list[tuple[float, float, float, float]]:
+    if system not in _TABLES:
+        raise ValueError(f"unknown system {system!r}")
+    if isinstance(rep, TorusRep) != (system == "torus"):
+        kind = "torus" if system == "torus" else "surface"
+        raise ValueError(f"{system} system takes a {kind} representation")
+    return [(el.w, el.x, el.y, el.z) for el in rep.elements()]
+
+
+def _report(rep: Rep, system: str, n: int) -> ResidualReport:
+    terms = _TABLES[system](_quats(rep, system), n, _FLOAT_OPS)
+    return ResidualReport(tuple((tag, _gap(l, r, math.sqrt)) for tag, l, r in terms))
 
 
 def surface_residual(rep: SurfaceRep) -> ResidualReport:
-    return ResidualReport((("relator", _relator_value(rep).dist(ONE)),))
+    return _report(rep, "surface", 0)
 
 
 def fixed_point_residual(rep: SurfaceRep, n: int) -> ResidualReport:
-    xn = derived_x(rep).power(n)
-    a1n = rep.a1.power(n)
-    entries = (
-        ("relator", _relator_value(rep).dist(ONE)),
-        ("a1", (xn * rep.a1).dist(rep.a1 * xn)),
-        ("b1", a1n.dist(xn)),
-        ("a3", (xn * rep.a3).dist(rep.a3 * xn)),
-        ("b3", (xn * rep.b3).dist(rep.b3 * xn)),
-    )
-    return ResidualReport(entries)
+    return _report(rep, "fix", n)
 
 
 def torus_residual(trep: TorusRep, n: int) -> ResidualReport:
-    rep = trep.rep
-    t = trep.t
-    xn = derived_x(rep).power(n)
-    txn = t * xn
-    b1_lhs = rep.b1.inverse() * t.inverse() * rep.b1 * t
-    b1_rhs = rep.a1.power(n) * xn.inverse()
-    entries = (
-        ("relator", _relator_value(rep).dist(ONE)),
-        ("a1", (rep.a1 * txn).dist(txn * rep.a1)),
-        ("b1", b1_lhs.dist(b1_rhs)),
-        ("a2", (rep.a2 * t).dist(t * rep.a2)),
-        ("b2", (rep.b2 * t).dist(t * rep.b2)),
-        ("a3", (rep.a3 * txn).dist(txn * rep.a3)),
-        ("b3", (rep.b3 * txn).dist(txn * rep.b3)),
-    )
-    return ResidualReport(entries)
+    return _report(trep, "torus", n)
 
 
 def residual_for(rep: Rep, system: str, n: int) -> ResidualReport:
     """Residual report for one of the three equation systems."""
-    if system == "surface":
-        if isinstance(rep, TorusRep):
-            raise ValueError("surface system takes a surface representation")
-        return surface_residual(rep)
     if system == "fix":
-        if isinstance(rep, TorusRep):
-            raise ValueError("fixed-point system takes a surface representation")
         return fixed_point_residual(rep, n)
     if system == "torus":
-        if not isinstance(rep, TorusRep):
-            raise ValueError("torus system takes a torus representation")
         return torus_residual(rep, n)
-    raise ValueError(f"unknown system {system!r}")
+    return _report(rep, system, n)
+
+
+def residual_array(points: Sequence[Rep], system: str, n: int) -> np.ndarray:
+    """Per-equation residuals of many points, shape (N, E): entry (i, j) is
+    the j-th entry of residual_for(points[i], system, n) up to rounding.
+
+    From _BATCH_MIN points on, the table runs once over numpy arrays, at
+    about the cost of six single-point reports whatever N is.
+    """
+    if 0 < len(points) < _BATCH_MIN:
+        return np.array([[v for _, v in _report(p, system, n).entries] for p in points])
+    width = 7 if system == "torus" else 6
+    coords = np.array([_quats(p, system) for p in points], dtype=float)
+    # one (4, N) block of components per element
+    q = np.ascontiguousarray(coords.reshape(len(points), width, 4).transpose(1, 2, 0))
+    terms = _TABLES[system](q, n, _ARRAY_OPS)
+    return np.stack([_gap(l, r, np.sqrt) for _, l, r in terms], axis=1)
 
 
 def random_surface_rep(rng: np.random.Generator) -> SurfaceRep:
@@ -239,41 +315,10 @@ class VarietyProjection:
     iterations: int
 
 
-def _stack_residual(rep: Rep, system: str, n: int) -> np.ndarray:
-    # signed residual 4-vectors per equation, for the least-squares engine
-    if isinstance(rep, TorusRep):
-        surface = rep.rep
-        t = rep.t
-    else:
-        surface = rep
-        t = None
-    rel = _relator_value(surface)
-    rows: list[SU2] = []
-
-    def diff(u: SU2, v: SU2) -> list[float]:
-        return [u.w - v.w, u.x - v.x, u.y - v.y, u.z - v.z]
-
-    out: list[float] = []
-    out += diff(rel, ONE)
-    if system == "fix":
-        xn = derived_x(surface).power(n)
-        out += diff(xn * surface.a1, surface.a1 * xn)
-        out += diff(surface.a1.power(n), xn)
-        out += diff(xn * surface.a3, surface.a3 * xn)
-        out += diff(xn * surface.b3, surface.b3 * xn)
-    elif system == "torus":
-        xn = derived_x(surface).power(n)
-        txn = t * xn
-        out += diff(surface.a1 * txn, txn * surface.a1)
-        out += diff(
-            surface.b1.inverse() * t.inverse() * surface.b1 * t,
-            surface.a1.power(n) * xn.inverse(),
-        )
-        out += diff(surface.a2 * t, t * surface.a2)
-        out += diff(surface.b2 * t, t * surface.b2)
-        out += diff(surface.a3 * txn, txn * surface.a3)
-        out += diff(surface.b3 * txn, txn * surface.b3)
-    return np.array(out)
+def _signed_residual(elements: Sequence[SU2], system: str, n: int) -> np.ndarray:
+    # signed 4-vector differences per equation, for the least-squares engine
+    terms = _TABLES[system]([(el.w, el.x, el.y, el.z) for el in elements], n, _FLOAT_OPS)
+    return np.array([u - v for _, lhs, rhs in terms for u, v in zip(lhs, rhs)])
 
 
 def project_to_variety(
@@ -291,15 +336,10 @@ def project_to_variety(
     report = residual_for(start, system, n)
     if report.max <= tol:
         return VarietyProjection(start, report, True, 0)
-    is_torus = isinstance(start, TorusRep)
-    rebuild = TorusRep.from_elements if is_torus else SurfaceRep.from_elements
-
-    def residual_fn(elements: list[SU2]) -> np.ndarray:
-        return _stack_residual(rebuild(elements), system, n)
-
+    rebuild = TorusRep.from_elements if isinstance(start, TorusRep) else SurfaceRep.from_elements
     result = refine_elements(
         start.elements(),
-        residual_fn,
+        lambda elements: _signed_residual(elements, system, n),
         tol=min(tol * 1e-2, 1e-11),
         max_iter=max_iter,
     )

@@ -27,8 +27,17 @@ from repvar.connectivity import (
     save_certificate,
     verify_certificate,
 )
-from repvar.su2 import MINUS_ONE, ONE, commutator, exp_axis_angle
-from repvar.varieties import SurfaceRep, TorusRep, rep_to_dict, trivial_rep
+from repvar import connectivity, varieties
+from repvar.su2 import MINUS_ONE, ONE, SU2, commutator, exp_axis_angle, haar_random
+from repvar.varieties import (
+    SurfaceRep,
+    TorusRep,
+    random_surface_rep,
+    rep_to_dict,
+    residual_array,
+    residual_for,
+    trivial_rep,
+)
 
 CFG = PathConfig()
 
@@ -69,8 +78,6 @@ def test_probe_mismatch_fuzz():
 
 
 def test_probe_surface_system():
-    from repvar.varieties import random_surface_rep
-
     r0 = random_surface_rep(np.random.default_rng(7))
     r1 = random_surface_rep(np.random.default_rng(8))
     cert = probe_path(r0, r1, "surface", 0, CFG)
@@ -218,6 +225,26 @@ def test_census_small():
     assert report.agrees_with_closed_form
     assert report.estimated_components == 5
     assert report.cross_label_certificates == 0
+    # one class per label anchor plus one per sample left without a path
+    unpathed = sum(row.samples - row.path_ok for row in report.rows)
+    assert report.path_classes == len(report.rows) + unpathed
+
+
+def test_census_path_classes_count_unpathed_samples(monkeypatch):
+    verify = connectivity.verify_certificate
+    calls = []
+
+    def every_third_rejected(cert):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            return connectivity.VerificationReport(False, ("rejected for the test",))
+        return verify(cert)
+
+    monkeypatch.setattr(connectivity, "verify_certificate", every_third_rejected)
+    report = census(2, "fix", 3, 4, CFG)
+    unpathed = sum(row.samples - row.path_ok for row in report.rows)
+    assert unpathed == 3
+    assert report.path_classes == len(report.rows) + unpathed
 
 
 def test_census_determinism():
@@ -229,3 +256,72 @@ def test_census_determinism():
 def test_census_rejects_unknown_system():
     with pytest.raises(ValueError):
         census(2, "nope", 4, 7, CFG)
+
+
+def test_probe_budget_counts_every_projection(monkeypatch):
+    # endpoints one conjugation by 1 rad apart, where the blind walk
+    # crawls: every projection attempt, placed or not, spends the
+    # 2**depth budget
+    rng = np.random.default_rng([5, 9])
+    r0 = randomized_representative(3, ComponentLabel("-", 1, 0), rng)
+    axis = rng.standard_normal(3)
+    axis = tuple(float(v) for v in axis / np.linalg.norm(axis))
+    r1 = r0.conjugate(exp_axis_angle(axis, 1.0))
+    calls = []
+    project = connectivity.project_to_variety
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "project_to_variety", counting)
+    for depth in (4, 9):
+        calls.clear()
+        with pytest.raises(connectivity.PathError) as err:
+            probe_path(r0, r1, "fix", 3, PathConfig(bisection_depth=depth))
+        assert err.value.stage == "probe"
+        assert 0 < len(calls) <= 2**depth
+
+
+def _edge_cases(rng):
+    """(system, n, points) batches on the special branches of the table."""
+    g = haar_random(rng)
+    central_x = [
+        SurfaceRep(a1, g, g.inverse(), haar_random(rng), c, c)
+        for a1 in (ONE, MINUS_ONE)
+        for c in (ONE, MINUS_ONE)
+    ]
+    surface = [trivial_rep(), *central_x, random_surface_rep(rng)]
+    t = haar_random(rng)
+    ts = [ONE, MINUS_ONE, SU2(-1.0, 1e-9, 0.0, 0.0), t, -t]
+    for n in (-3, -1, 0, 1, 2, 5):
+        yield "fix", n, surface
+        yield "surface", n, surface
+        yield "torus", n, [TorusRep(tt, rep) for tt in ts for rep in surface]
+
+
+def test_batched_residuals_match_float_path(monkeypatch):
+    rng = np.random.default_rng(31)
+    batches = list(_edge_cases(rng))
+    rep = randomized_representative(3, ComponentLabel("-", 1, 0), rng)
+    batches.append(("fix", 3, canonical_path(rep, 3, CFG, rng).points))
+    for label in (TorusLabel(-1, ComponentLabel("+", 1, 0)), TorusLabel()):
+        for _ in range(2):
+            trep = randomized_torus_representative(-3, label, rng)
+            batches.append(("torus", -3, canonical_torus_path(trep, -3, CFG, rng).points))
+    # the float path serves small batches; force the array kernel throughout
+    monkeypatch.setattr(varieties, "_BATCH_MIN", 0)
+    for system, n, points in batches:
+        batch = residual_array(points, system, n)
+        assert batch.shape[0] == len(points)
+        for row, p in zip(batch, points):
+            single = [value for _, value in residual_for(p, system, n).entries]
+            assert np.max(np.abs(row - single)) <= 1e-14, (system, n)
+    # the trivial tuple is an exact solution on both paths
+    for n in (-2, 0, 3):
+        triv = [trivial_rep()]
+        assert residual_array(triv, "fix", n).max() == 0.0
+        assert residual_for(triv[0], "fix", n).max == 0.0
+        ttriv = [TorusRep(ONE, trivial_rep())]
+        assert residual_array(ttriv, "torus", n).max() == 0.0
+        assert residual_for(ttriv[0], "torus", n).max == 0.0

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repvar.commutator import solve_commutator
-from repvar.components import random_extended_fixed_sample
+from repvar.components import (
+    enumerate_fix_labels,
+    enumerate_torus_labels,
+    random_extended_fixed_sample,
+    randomized_representative,
+    randomized_torus_representative,
+)
 from repvar.su2 import (
     E1,
     MINUS_ONE,
@@ -33,6 +39,7 @@ from repvar.varieties import (
     torus_residual,
     trivial_rep,
 )
+from repvar.words import SURFACE_GENERATORS, evaluate, phi_substitution, relator
 
 
 def abelian_rep(rng, axis=None):
@@ -114,6 +121,54 @@ def test_residuals_are_conjugation_invariant():
         b = torus_residual(trep.conjugate(g), n)
         for (tag_a, va), (tag_b, vb) in zip(a.entries, b.entries):
             assert tag_a == tag_b and abs(va - vb) < 1e-10
+
+
+def _pullback_gaps(rep: SurfaceRep, n: int, t: SU2 | None) -> dict[str, float]:
+    """Word-level oracle: |phi^n(g) - g| (or T^-1 g T) per generator, and the relator."""
+    images = rep.images()
+    sub = phi_substitution(n)
+    gaps = {"relator": evaluate(relator(), images).dist(ONE)}
+    for g in SURFACE_GENERATORS:
+        target = images[g] if t is None else t.inverse() * images[g] * t
+        gaps[g.name.lower()] = evaluate(sub.image(g), images).dist(target)
+    return gaps
+
+
+def test_tables_match_word_level_pullback():
+    # each table entry is the pullback gap of one generator, so the two
+    # agree equation by equation on and off the variety; generators the
+    # fixed-point table leaves out must be fixed by the pullback
+    rng = np.random.default_rng(12)
+    checked = 0
+    for n in range(-4, 5):
+        fix_points = [randomized_representative(n, lab, rng) for lab in enumerate_fix_labels(n)]
+        fix_points += [random_surface_rep(rng) for _ in range(3)]
+        # A1 = +-1 exactly, once with X central too ([I, J] = -1)
+        for a1 in (ONE, MINUS_ONE):
+            a2, b2 = haar_random(rng), haar_random(rng)
+            a3, b3 = solve_commutator(commutator(a2, b2).inverse())
+            fix_points.append(SurfaceRep(a1, haar_random(rng), a2, b2, a3, b3))
+            i, j = SU2(0, 1, 0, 0), SU2(0, 0, 1, 0)
+            fix_points.append(SurfaceRep(a1, haar_random(rng), i, j, i, j))
+        for rep in fix_points:
+            oracle = _pullback_gaps(rep, n, None)
+            table = fixed_point_residual(rep, n).as_dict()
+            for tag, gap in oracle.items():
+                assert abs(table.get(tag, 0.0) - gap) <= 1e-11, (n, tag)
+            checked += 1
+        torus_points = [
+            randomized_torus_representative(n, lab, rng) for lab in enumerate_torus_labels(n)
+        ]
+        torus_points += [TorusRep(haar_random(rng), rep) for rep in fix_points[-7:]]
+        torus_points += [TorusRep(t, rep) for t in (ONE, MINUS_ONE) for rep in fix_points[-4:]]
+        for trep in torus_points:
+            oracle = _pullback_gaps(trep.rep, n, trep.t)
+            table = torus_residual(trep, n).as_dict()
+            assert set(table) == set(oracle)
+            for tag, gap in oracle.items():
+                assert abs(table[tag] - gap) <= 1e-11, (n, tag)
+            checked += 1
+    assert checked > 100
 
 
 def test_random_surface_rep_statistics():
