@@ -360,16 +360,24 @@ def cmd_verify(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, tol: float) -> None:
-    p.add_argument("--tol", type=float, default=tol, help="tolerance")
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--samples", type=int, default=0, help="samples per label")
+def _add_path_flags(p: argparse.ArgumentParser, *, tol: float) -> None:
+    """The options _path_config reads."""
+    p.add_argument("--tol", type=float, default=tol, help="residual tolerance")
     p.add_argument("--depth", type=int, default=12, help="bisection depth")
     p.add_argument("--iters", type=int, default=100, help="projection iterations")
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    p.add_argument("--out", type=str, default="", help="output file")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="closed-form component counts")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, tol=1e-9)
+    _add_format(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="list all component labels")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, tol=1e-9)
+    _add_format(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("representative", help="write a canonical representative")
@@ -401,31 +409,40 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="central, +,0,1, eps=-1,+,0,1, ... (use --label=-,k,l for minus signs)",
     )
-    _add_common(p, tol=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    p.add_argument("--out", type=str, default="", help="output file (default: stdout)")
     p.set_defaults(func=cmd_representative)
 
     p = sub.add_parser("classify", help="classify a representation file")
     p.add_argument("rep", type=str, help="representation file (repvar-1)")
     p.add_argument("--n", type=int, default=None)
-    _add_common(p, tol=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    _add_format(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("probe", help="search for a path certificate between two files")
     p.add_argument("rep0", type=str)
     p.add_argument("rep1", type=str)
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p, tol=1e-7)
+    _add_path_flags(p, tol=1e-7)
+    p.add_argument("--out", type=str, default="", help="output file (default: stdout)")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("census", help="Monte Carlo component census (fix and torus)")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, tol=1e-7)
+    p.add_argument("--samples", type=_positive_int, default=20, help="samples per label")
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    _add_path_flags(p, tol=1e-7)
+    _add_format(p)
     p.set_defaults(func=cmd_census)
-    p.set_defaults(samples=20)
 
     p = sub.add_parser("verify", help="run the verification table up to n")
     p.add_argument("--n", type=int, default=4, help="largest twist power checked")
-    _add_common(p, tol=1e-9)
+    p.add_argument(
+        "--samples", type=int, default=0, help="census samples per label (0: no census)"
+    )
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    _add_path_flags(p, tol=1e-9)
+    _add_format(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -433,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "census" and args.samples <= 0:
-        args.samples = 20
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -26,17 +26,21 @@ from typing import Callable
 import numpy as np
 
 from .su2 import (
+    E1,
     MINUS_ONE,
     ONE,
     SU2,
     align_conjugator,
     commutator,
+    conjugators,
+    contract_to_one,
     exp_axis_angle,
     exp_tangent,
     geodesic,
     geodesic_distance,
     haar_random,
     qmul,
+    random_axis,
     torus_snap,
 )
 
@@ -224,8 +228,7 @@ def sample_fiber(
     torus.  Raises ProjectionError if no restart converges in budget.
     """
     if c.dist(ONE) < 1e-12:
-        v = rng.standard_normal(3)
-        axis = tuple(v / np.linalg.norm(v))
+        axis = random_axis(rng)
         return (
             exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)),
             exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)),
@@ -244,12 +247,13 @@ def sample_fiber(
 def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
     """Nearest convenient exactly-commuting pair to a nearly-commuting one.
 
-    The element with the smaller angle is re-axed onto the other's maximal
-    torus, which keeps the move small whenever [a, b] is nearly 1.
+    The element nearer the center (the shorter imaginary part, so a
+    near -1 counts as near) is re-axed onto the other's maximal torus,
+    which keeps the move small whenever [a, b] is nearly 1.
     """
     if a.is_central(1e-12) or b.is_central(1e-12):
         return a, b
-    move_second = b.angle() <= a.angle()
+    move_second = math.hypot(b.x, b.y, b.z) <= math.hypot(a.x, a.y, a.z)
     anchor, moved = (a, b) if move_second else (b, a)
     snapped = torus_snap(moved, anchor.axis())
     return (a, snapped) if move_second else (snapped, b)
@@ -266,41 +270,19 @@ def _project_or_none(pair: Pair, c: SU2, tol: float) -> Pair | None:
     return (a, b) if ok else None
 
 
-def _contraction_axis(moving: SU2, fixed: SU2) -> tuple[float, float, float]:
-    vn = math.sqrt(moving.x**2 + moving.y**2 + moving.z**2)
-    if vn > 1e-12:
-        return moving.axis()
-    if not fixed.is_central(1e-12):
-        return fixed.axis()
-    return (1.0, 0.0, 0.0)
-
-
-def _torus_contract(fixed: SU2, moving: SU2, first: bool, max_step: float) -> list[Pair]:
-    # moving -> 1 along a maximal torus shared with `fixed`
-    theta = moving.angle()
-    if theta < 1e-15:
-        return []
-    axis = _contraction_axis(moving, fixed)
-    steps = max(1, math.ceil(theta / max_step))
-    out = []
-    for i in range(1, steps + 1):
-        m = exp_axis_angle(axis, theta * (1 - i / steps))
-        out.append((fixed, m) if first else (m, fixed))
-    return out
-
-
 def _commuting_stratum_route(p0: Pair, p1: Pair, max_step: float) -> list[Pair]:
     """Explicit path between two (nearly) commuting pairs through (1, 1)."""
-    a0, b0 = snap_commuting_pair(*p0)
-    a1, b1 = snap_commuting_pair(*p1)
-    # (a0, b0) -> (a0, 1) -> (1, 1) -> (1, b1) -> (a1, b1)
-    nodes: list[Pair] = [p0, (a0, b0)]
-    nodes += _torus_contract(a0, b0, True, max_step)
-    nodes += _torus_contract(ONE, a0, False, max_step)
-    back: list[Pair] = [p1, (a1, b1)]
-    back += _torus_contract(a1, b1, True, max_step)
-    back += _torus_contract(ONE, a1, False, max_step)
-    nodes += list(reversed(back))
+
+    def to_identity(pair: Pair) -> list[Pair]:
+        # (a, b) -> snapped -> (a, 1) along a's torus -> (1, 1)
+        a, b = snap_commuting_pair(*pair)
+        axis = E1 if a.is_central(1e-12) else a.axis()
+        nodes = [pair, (a, b)]
+        nodes += [(a, m) for m in contract_to_one(b, max_step, axis)]
+        nodes += [(m, ONE) for m in contract_to_one(a, max_step)]
+        return nodes
+
+    nodes = to_identity(p0) + list(reversed(to_identity(p1)))
     # drop exactly duplicated consecutive nodes (snap may be a no-op)
     deduped = [nodes[0]]
     for node in nodes[1:]:
@@ -336,18 +318,9 @@ def _bisect_in_fiber(
 
 
 def _conjugation_leg(pair: Pair, g: SU2, max_step: float) -> list[Pair]:
-    """Nodes conjugating `pair` by the one-parameter path from 1 to g."""
-    if g.is_central(1e-12):
-        # conjugation by a central element is the identity map
-        return [pair]
-    theta = g.angle()
-    axis = g.axis()
-    steps = max(1, math.ceil(2.0 * theta / max_step))
-    out = []
-    for i in range(steps + 1):
-        gi = exp_axis_angle(axis, theta * i / steps)
-        out.append((pair[0].conjugate_by(gi), pair[1].conjugate_by(gi)))
-    return out
+    """Nodes after `pair` conjugating it by the stepped path from 1 to g."""
+    a, b = pair
+    return [(a.conjugate_by(h), b.conjugate_by(h)) for h in conjugators(g, max_step)]
 
 
 def connect_in_fiber(
@@ -379,7 +352,7 @@ def connect_in_fiber(
         # Conjugation by anything preserves the fiber of a central value:
         # align first components exactly, then rotate about the common axis.
         g = align_conjugator(p0[0], p1[0], trace_tol=1e-6)
-        prefix = _conjugation_leg(p0, g, max_step)
+        prefix += _conjugation_leg(p0, g, max_step)
         start = prefix[-1]
         ax = p1[0].axis()
         best = None
@@ -390,10 +363,8 @@ def connect_in_fiber(
             d = _pair_step(cand, p1)
             if best is None or d < best[0]:
                 best = (d, z)
-        if best[1].dist(ONE) > 1e-14:
-            leg = _conjugation_leg(start, best[1], max_step)
-            prefix += leg[1:]
-            start = prefix[-1]
+        prefix += _conjugation_leg(start, best[1], max_step)
+        start = prefix[-1]
     else:
         ax = c.axis()
         best = None
@@ -404,9 +375,8 @@ def connect_in_fiber(
             d = _pair_step(cand, p1)
             if best is None or d < best[0]:
                 best = (d, z)
-        if best[1].dist(ONE) > 1e-14:
-            prefix = _conjugation_leg(p0, best[1], max_step)
-            start = prefix[-1]
+        prefix += _conjugation_leg(p0, best[1], max_step)
+        start = prefix[-1]
 
     attempts: list[list[Pair]] = [[start, p1]]
     for _ in range(3):
@@ -430,9 +400,24 @@ def connect_in_fiber(
 
 # -- moving-fiber continuation -----------------------------------------
 
+def _step_pair(
+    pair: Pair, target: SU2, tol: float, snap_angle: float, rng: np.random.Generator
+) -> Pair | None:
+    """`pair` moved onto the fiber of `target`, or None when that fails."""
+    if target.angle() < snap_angle:
+        return snap_commuting_pair(*pair)
+    a, b, _, ok = project_pair_to_fiber(pair[0], pair[1], target, tol=tol)
+    if not ok:
+        # one rescue from a slightly perturbed start
+        pa = exp_tangent(1e-4 * rng.standard_normal(3)) * pair[0]
+        pb = exp_tangent(1e-4 * rng.standard_normal(3)) * pair[1]
+        a, b, _, ok = project_pair_to_fiber(pa, pb, target, tol=tol)
+    return (a, b) if ok else None
+
+
 def continue_fiber(
-    pair: Pair,
-    c_of_t: Callable[[float], SU2],
+    pairs: tuple[Pair, ...],
+    targets: Callable[[float], tuple[SU2, ...]],
     *,
     t0: float = 0.0,
     t1: float = 1.0,
@@ -442,42 +427,33 @@ def continue_fiber(
     snap_angle: float = 1e-6,
     max_nodes: int = 4096,
     rng: np.random.Generator | None = None,
-) -> list[tuple[float, Pair]]:
-    """Track a pair along the moving fiber [A, B] = c(t), t0 -> t1.
+) -> list[tuple[float, tuple[Pair, ...]]]:
+    """Track pairs along moving fibers [A_i, B_i] = targets(t)[i], t0 -> t1.
 
-    Adaptive stepping: the parameter step halves when the warm-started
-    projection fails or moves farther than max_step, and grows back on
-    success.  Targets within snap_angle of the identity are handled by
-    snapping the pair onto the exactly-commuting stratum instead of
-    projecting against a singular fiber.
+    Adaptive stepping: the parameter step halves when a warm-started
+    projection fails or any element moves farther than max_step, and grows
+    back on success, up to (t1 - t0) / init_steps.  Targets within
+    snap_angle of the identity are handled by snapping the pair onto the
+    exactly-commuting stratum instead of projecting against a singular
+    fiber.  Returns (t, pairs) nodes, starting with (t0, pairs).
     """
     if rng is None:
         rng = np.random.default_rng(0)
     span = t1 - t0
     dt = span / init_steps
     min_dt = span / (init_steps * 4096.0)
-    nodes: list[tuple[float, Pair]] = [(t0, pair)]
+    nodes: list[tuple[float, tuple[Pair, ...]]] = [(t0, tuple(pairs))]
     t = t0
     while t < t1 - 1e-15 and len(nodes) < max_nodes:
         tn = min(t + dt, t1)
-        target = c_of_t(tn)
-        current = nodes[-1][1]
-        if target.angle() < snap_angle:
-            cand = snap_commuting_pair(*current)
-            ok = True
-        else:
-            a, b, _, ok = project_pair_to_fiber(
-                current[0], current[1], target, tol=tol
-            )
-            cand = (a, b)
-            if not ok:
-                # one rescue from a slightly perturbed start
-                pa = exp_tangent(1e-4 * rng.standard_normal(3)) * current[0]
-                pb = exp_tangent(1e-4 * rng.standard_normal(3)) * current[1]
-                a, b, _, ok = project_pair_to_fiber(pa, pb, target, tol=tol)
-                cand = (a, b)
-        if ok and _pair_step(current, cand) <= max_step:
-            nodes.append((tn, cand))
+        moved: list[Pair] = []
+        for pair, target in zip(nodes[-1][1], targets(tn)):
+            cand = _step_pair(pair, target, tol, snap_angle, rng)
+            if cand is None or _pair_step(pair, cand) > max_step:
+                break
+            moved.append(cand)
+        if len(moved) == len(pairs):
+            nodes.append((tn, tuple(moved)))
             t = tn
             dt = min(dt * 1.5, span / init_steps)
         else:
@@ -520,10 +496,10 @@ def fiber_path(
             raise ValueError(f"{name} pair off its fiber by {gap:.3e} (tol {tol:.1e})")
     inner = min(tol * 1e-2, 1e-11)
     marched = continue_fiber(
-        (a0, b0), c_path, init_steps=steps, tol=inner, max_step=0.2
+        ((a0, b0),), lambda t: (c_path(t),), init_steps=steps, tol=inner, max_step=0.2
     )
     ts = [t for t, _ in marched]
-    pairs = [p for _, p in marched]
+    pairs = [p for _, (p,) in marched]
     c_end = c_path(1.0)
     tail = connect_in_fiber(pairs[-1], (a1, b1), c_end, tol=inner, max_step=0.2)
     pairs += tail[1:]

@@ -33,6 +33,7 @@ from .su2 import (
     commutator,
     exp_axis_angle,
     haar_random,
+    random_axis,
 )
 from .varieties import (
     SurfaceRep,
@@ -61,6 +62,7 @@ __all__ = [
     "read_fix_label",
     "read_torus_label",
     "quantized_angle",
+    "quantized_index",
     "canonical_representative",
     "canonical_torus_representative",
     "randomized_representative",
@@ -239,7 +241,10 @@ def _validate_label(label: ComponentLabel, n: int) -> None:
 
 # -- classification ---------------------------------------------------------
 
-def _quantized_index(theta: float, m: int, sigma: int, bound: int, what: str) -> int:
+def quantized_index(theta: float, m: int, sigma: int, what: str) -> int:
+    """Index k of the quantized angle theta (see quantized_angle) for
+    A1^m ~ sigma; Unclassifiable when theta is not near one in range."""
+    bound = _index_bound(m, "+" if sigma > 0 else "-")
     value = m * theta / (2.0 * math.pi) if sigma > 0 else (m * theta / math.pi - 1.0) / 2.0
     k = round(value)
     if abs(value - k) > ROUND_TOL:
@@ -273,9 +278,8 @@ def read_fix_label(rep: SurfaceRep, n: int, residual: float, tol: float) -> Comp
     if gap > REFUSE_BAND:
         return CENTRAL
     sign = "+" if sigma > 0 else "-"
-    bound = _index_bound(m, sign)
-    k = _quantized_index(rep.a1.angle(), m, sigma, bound, "angle(a1)")
-    l = _quantized_index(derived_x(rep).angle(), m, sigma, bound, "angle(x)")
+    k = quantized_index(rep.a1.angle(), m, sigma, "angle(a1)")
+    l = quantized_index(derived_x(rep).angle(), m, sigma, "angle(x)")
     if k == l:
         return CENTRAL
     if gap > SNAP_BAND:
@@ -369,14 +373,8 @@ def canonical_torus_representative(n: int, label: TorusLabel) -> TorusRep:
     return TorusRep(t, canonical_representative(n, label.fix))
 
 
-def _random_unit_axis(rng: np.random.Generator) -> tuple[float, float, float]:
-    v = rng.standard_normal(3)
-    v = v / np.linalg.norm(v)
-    return (float(v[0]), float(v[1]), float(v[2]))
-
-
 def _random_abelian_rep(rng: np.random.Generator) -> SurfaceRep:
-    axis = _random_unit_axis(rng)
+    axis = random_axis(rng)
     els = [exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)) for _ in range(6)]
     return SurfaceRep(*els)
 
@@ -407,8 +405,8 @@ def _random_quantized_rep(
 ) -> SurfaceRep:
     theta_k = quantized_angle(m, sign, k)
     theta_l = quantized_angle(m, sign, l)
-    a1 = exp_axis_angle(_random_unit_axis(rng), theta_k)
-    x_target = exp_axis_angle(_random_unit_axis(rng), theta_l)
+    a1 = exp_axis_angle(random_axis(rng), theta_k)
+    x_target = exp_axis_angle(random_axis(rng), theta_l)
     a3, b3 = sample_fiber(x_target * a1.inverse(), rng, tol=1e-12)
     b1 = haar_random(rng)
     c = commutator(a1, b1).inverse() * commutator(a3, b3).inverse()
@@ -463,7 +461,7 @@ def randomized_torus_representative(
         t = ONE if rng.integers(2) == 0 else MINUS_ONE
         return TorusRep(t, randomized_representative(n, CENTRAL, rng))
     if flavor == 1:
-        axis = _random_unit_axis(rng)
+        axis = random_axis(rng)
         theta = rng.uniform(0.05, math.pi - 0.05)
         t = exp_axis_angle(axis, theta if rng.integers(2) == 0 else -theta)
         els = [exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)) for _ in range(6)]

@@ -61,6 +61,7 @@ from .components import (
     enumerate_fix_labels,
     enumerate_torus_labels,
     quantized_angle,
+    quantized_index,
     randomized_representative,
     randomized_torus_representative,
     read_fix_label,
@@ -75,9 +76,13 @@ from .su2 import (
     axis_rotation,
     central_gap,
     commutator,
+    conjugators,
+    contract_to_one,
     exp_axis_angle,
     geodesic,
     geodesic_distance,
+    geodesic_to_one,
+    step_count,
     torus_snap,
 )
 from .varieties import (
@@ -159,27 +164,19 @@ def _rep_step(p: Rep, q: Rep) -> float:
     return max(geodesic_distance(u, v) for u, v in zip(p.elements(), q.elements()))
 
 
-def _chop(dist: float, max_step: float) -> int:
-    return max(1, math.ceil(dist / (0.8 * max_step)))
+def _element(rep: Rep, name: str) -> SU2:
+    """The named element of rep; "t" names T of a TorusRep."""
+    if isinstance(rep, TorusRep):
+        return rep.t if name == "t" else getattr(rep.rep, name)
+    return getattr(rep, name)
 
 
-def _geodesic_nodes(u: SU2, v: SU2, max_step: float) -> list[SU2]:
-    """Nodes strictly after u, ending exactly at v; u, v not antipodal."""
-    steps = _chop(geodesic_distance(u, v), max_step)
-    return [geodesic(u, v, i / steps) for i in range(1, steps + 1)]
-
-
-def _route_to_one(el: SU2, max_step: float, prefer_axis=None) -> list[SU2]:
-    """Contract el to 1 along a maximal torus (works from -1 as well)."""
-    theta = el.angle()
-    if theta < 1e-15:
-        return []
-    try:
-        axis = el.axis()
-    except ValueError:
-        axis = prefer_axis if prefer_axis is not None else E1
-    steps = _chop(theta, max_step)
-    return [exp_axis_angle(axis, theta * (1 - i / steps)) for i in range(1, steps + 1)]
+def _with(rep: Rep, **els: SU2) -> Rep:
+    """rep with the named elements replaced; "t" names T of a TorusRep."""
+    if isinstance(rep, TorusRep):
+        t = els.pop("t", rep.t)
+        return TorusRep(t, replace(rep.rep, **els))
+    return replace(rep, **els)
 
 
 def _constant_angle_path(x: SU2, target_axis) -> tuple[Callable[[float], SU2], float]:
@@ -362,147 +359,114 @@ def load_certificate(path: str | Path) -> PathCertificate:
     return certificate_from_dict(data)
 
 
-# -- moving-fiber legs for surface tuples ------------------------------------
+# -- staged legs ---------------------------------------------------------------
 
-def _track_b1_leg(
-    rep: SurfaceRep, cfg: PathConfig, rng: np.random.Generator
-) -> list[SurfaceRep]:
-    """Move B1 to 1; (A2, B2) tracks [A1, B1(t)]^-1 [A3, B3]^-1."""
-    b1 = rep.b1
-    if b1.dist(ONE) < 1e-15:
-        return []
-    y3inv = commutator(rep.a3, rep.b3).inverse()
-    a1 = rep.a1
+def _contract(rep: Rep, names: Sequence[str], cfg: PathConfig, axis=E1) -> list[Rep]:
+    """Contract the named elements of rep to 1 in turn (see contract_to_one)."""
+    out: list[Rep] = []
+    for name in names:
+        for node in contract_to_one(_element(rep, name), cfg.max_step, axis):
+            rep = _with(rep, **{name: node})
+            out.append(rep)
+    return out
 
-    if b1.dot(ONE) < -1.0 + 1e-9:
-        # B1 at -1: route through a quarter turn
-        way_axis = E1 if a1.is_central(1e-9) else a1.axis()
-        waypoint = exp_axis_angle(way_axis, math.pi / 2.0)
 
-        def b1_path(t: float) -> SU2:
-            if t <= 0.5:
-                return geodesic(b1, waypoint, 2.0 * t)
-            return geodesic(waypoint, ONE, 2.0 * t - 1.0)
+def _fiber_leg(
+    rep: Rep,
+    names: tuple[str, str],
+    end: tuple[SU2, SU2],
+    c: SU2,
+    cfg: PathConfig,
+    rng: np.random.Generator,
+    stage: str,
+) -> list[Rep]:
+    """Move the named pair of rep to `end` inside the fiber [ , ] = c."""
+    a, b = names
+    try:
+        leg = connect_in_fiber(
+            (_element(rep, a), _element(rep, b)),
+            end,
+            c,
+            tol=cfg.node_tol,
+            max_step=cfg.max_step,
+            depth=cfg.bisection_depth,
+            rng=rng,
+        )
+    except FiberConnectError as exc:
+        raise PathError(str(exc), stage=stage) from exc
+    return [_with(rep, **{a: p, b: q}) for p, q in leg[1:]]
 
-        arc = 2.0 * (geodesic_distance(b1, waypoint) + geodesic_distance(waypoint, ONE))
-    else:
-        def b1_path(t: float) -> SU2:
-            return geodesic(b1, ONE, t)
 
-        arc = geodesic_distance(b1, ONE)
-
-    def c_of_t(t: float) -> SU2:
-        return commutator(a1, b1_path(t)).inverse() * y3inv
-
+def _continuation(
+    pairs: tuple,
+    targets: Callable[[float], tuple[SU2, ...]],
+    init_steps: int,
+    cfg: PathConfig,
+    rng: np.random.Generator,
+    stage: str,
+) -> list:
+    """continue_fiber within the bounds of cfg: the (t, pairs) nodes after t = 0."""
     try:
         nodes = continue_fiber(
-            (rep.a2, rep.b2),
-            c_of_t,
-            init_steps=max(8, _chop(arc, cfg.max_step)),
+            pairs,
+            targets,
+            init_steps=init_steps,
             tol=cfg.node_tol,
             max_step=cfg.max_step,
             rng=rng,
         )
     except ContinuationError as exc:
-        raise PathError(str(exc), stage="move-b1") from exc
-    return [
-        replace(rep, b1=b1_path(t), a2=pair[0], b2=pair[1]) for t, pair in nodes[1:]
-    ]
+        raise PathError(str(exc), stage=stage) from exc
+    return nodes[1:]
+
+
+def _track_b1_leg(
+    rep: SurfaceRep, cfg: PathConfig, rng: np.random.Generator
+) -> list[SurfaceRep]:
+    """Move B1 to 1; (A2, B2) tracks [A1, B1(t)]^-1 [A3, B3]^-1."""
+    if rep.b1.dist(ONE) < 1e-15:
+        return []
+    y3inv = commutator(rep.a3, rep.b3).inverse()
+    a1 = rep.a1
+    b1_path, speed = geodesic_to_one(rep.b1, E1 if a1.is_central(1e-9) else a1.axis())
+
+    def targets(t: float) -> tuple[SU2]:
+        return (commutator(a1, b1_path(t)).inverse() * y3inv,)
+
+    init_steps = max(8, step_count(speed, cfg.max_step))
+    nodes = _continuation(((rep.a2, rep.b2),), targets, init_steps, cfg, rng, "move-b1")
+    return [replace(rep, b1=b1_path(t), a2=a2, b2=b2) for t, ((a2, b2),) in nodes]
 
 
 def _dual_fiber_leg(
     rep: SurfaceRep,
     y_of_t: Callable[[float], SU2],
+    speed: float,
     cfg: PathConfig,
     rng: np.random.Generator,
     stage: str,
-    init_steps: int,
-    snap_tail: bool = False,
 ) -> list[SurfaceRep]:
     """March (A3, B3) along [ , ] = Y(t) and (A2, B2) along Y(t)^-1, t: 0 -> 1.
 
     B1 must already be 1, so the relation couples the two pairs through
-    Y(t) alone.  Adaptive stepping; with snap_tail=True the leg ends by
-    snapping both pairs onto the exactly-commuting stratum as soon as the
-    target comes within 1e-6 of the identity (for target paths that
-    degenerate at t = 1).
+    Y(t) alone; `speed` bounds the speed of Y.  Where Y comes within the
+    continuation's snap angle of 1, both pairs snap onto the
+    exactly-commuting stratum.
     """
-    init_steps = max(4, init_steps)
-    dt = 1.0 / init_steps
-    min_dt = dt / 4096.0
-    t = 0.0
-    pair3 = (rep.a3, rep.b3)
-    pair2 = (rep.a2, rep.b2)
-    current = rep
-    out: list[SurfaceRep] = []
-    while t < 1.0 - 1e-15:
-        if len(out) > 4096:
-            raise PathError("node budget exhausted", stage=stage)
-        tn = min(t + dt, 1.0)
-        y = y_of_t(tn)
-        if snap_tail and y.angle() < 1e-6:
-            a3, b3 = snap_commuting_pair(*pair3)
-            a2, b2 = snap_commuting_pair(*pair2)
-            nxt = replace(current, a2=a2, b2=b2, a3=a3, b3=b3)
-            if _rep_step(current, nxt) <= cfg.max_step:
-                out.append(nxt)
-                return out
-            # too far from the commuting stratum to snap: approach gradually
-            dt *= 0.5
-            if dt < min_dt:
-                raise PathError(f"snap step too large at t={t:.5f}", stage=stage)
-            continue
-        a3, b3, _, ok3 = project_pair_to_fiber(pair3[0], pair3[1], y, tol=cfg.node_tol)
-        a2, b2, _, ok2 = project_pair_to_fiber(
-            pair2[0], pair2[1], y.inverse(), tol=cfg.node_tol
-        )
-        nxt = replace(current, a2=a2, b2=b2, a3=a3, b3=b3)
-        if ok3 and ok2 and _rep_step(current, nxt) <= cfg.max_step:
-            pair3 = (a3, b3)
-            pair2 = (a2, b2)
-            current = nxt
-            out.append(nxt)
-            t = tn
-            dt = min(dt * 1.5, 1.0 / init_steps)
-        else:
-            dt *= 0.5
-            if dt < min_dt:
-                raise PathError(f"step underflow at t={t:.5f}", stage=stage)
-    if snap_tail:
-        a3, b3 = snap_commuting_pair(*pair3)
-        a2, b2 = snap_commuting_pair(*pair2)
-        nxt = replace(current, a2=a2, b2=b2, a3=a3, b3=b3)
-        if _rep_step(current, nxt) > cfg.max_step:
-            raise PathError("final snap step too large", stage=stage)
-        out.append(nxt)
-    return out
+
+    def targets(t: float) -> tuple[SU2, SU2]:
+        y = y_of_t(t)
+        return (y, y.inverse())
+
+    init_steps = max(4, step_count(speed, cfg.max_step))
+    pairs = ((rep.a3, rep.b3), (rep.a2, rep.b2))
+    nodes = _continuation(pairs, targets, init_steps, cfg, rng, stage)
+    return [
+        replace(rep, a3=a3, b3=b3, a2=a2, b2=b2) for _, ((a3, b3), (a2, b2)) in nodes
+    ]
 
 
 # -- canonical staged paths (fixed-point system) ------------------------------
-
-def _snap_pairs_commuting(rep: SurfaceRep) -> SurfaceRep:
-    a3, b3 = snap_commuting_pair(rep.a3, rep.b3)
-    a2, b2 = snap_commuting_pair(rep.a2, rep.b2)
-    return replace(rep, a2=a2, b2=b2, a3=a3, b3=b3)
-
-
-def _contract_commuting_tail(rep: SurfaceRep, cfg: PathConfig) -> list[SurfaceRep]:
-    """From (A1, 1, commuting A2 B2, commuting A3 B3) down to the trivial tuple.
-
-    While [A3, B3] = 1 every condition reads off X = A1, so each torus
-    contraction leg keeps the whole system exact.
-    """
-    points: list[SurfaceRep] = []
-    current = rep
-    for name in ("a3", "b3", "a2", "b2"):
-        for node in _route_to_one(getattr(current, name), cfg.max_step):
-            current = replace(current, **{name: node})
-            points.append(current)
-    for node in _route_to_one(current.a1, cfg.max_step):
-        current = replace(current, a1=node)
-        points.append(current)
-    return points
-
 
 def _snap_to_angle(el: SU2, theta: float) -> SU2:
     """Same axis as el, exact angle theta; +-1 for central angles."""
@@ -511,86 +475,46 @@ def _snap_to_angle(el: SU2, theta: float) -> SU2:
     return exp_axis_angle(el.axis(), theta)
 
 
-def _quantize_angle(a1: SU2, m: int, sigma: int) -> float:
-    value = (
-        m * a1.angle() / (2.0 * math.pi)
-        if sigma > 0
-        else (m * a1.angle() / math.pi - 1.0) / 2.0
-    )
-    k = round(value)
-    return quantized_angle(m, "+" if sigma > 0 else "-", k)
-
-
 def _central_descent(
     rep: SurfaceRep, m: int, cfg: PathConfig, rng: np.random.Generator
 ) -> list[SurfaceRep]:
-    """Descend a central-component point (B1 = 1 already) to the trivial tuple."""
+    """Descend a central-component point (B1 = 1 already) to the trivial tuple.
+
+    Each branch first reaches (A1, 1, commuting A2 B2, commuting A3 B3).
+    While [A3, B3] = 1 every condition reads off X = A1, so contracting
+    A3, B3, A2, B2 and then A1 along their tori keeps the whole system exact.
+    """
     points: list[SurfaceRep] = []
-    current = rep
+    merge = None  # (Y path, its speed bound, stage) of a leg pulling [A3, B3] to 1
     if m == 0:
         # every admissible tuple is a solution: pull [A3, B3] to 1 directly
-        y0 = commutator(current.a3, current.b3)
+        y0 = commutator(rep.a3, rep.b3)
         if y0.dist(ONE) > 1e-12:
-            if y0.dot(ONE) < -1.0 + 1e-9:
-                mid = exp_axis_angle(E1, math.pi / 2.0)
-
-                def y_path(t: float) -> SU2:
-                    if t <= 0.5:
-                        return geodesic(y0, mid, 2.0 * t)
-                    return geodesic(mid, ONE, 2.0 * t - 1.0)
-            else:
-                def y_path(t: float) -> SU2:
-                    return geodesic(y0, ONE, t)
-
-            points += _dual_fiber_leg(
-                current, y_path, cfg, rng, "descend-n0",
-                init_steps=_chop(math.pi, cfg.max_step), snap_tail=True,
-            )
-            current = points[-1]
-        else:
-            snapped = _snap_pairs_commuting(current)
-            points.append(snapped)
-            current = snapped
-        points += _contract_commuting_tail(current, cfg)
-        return points
-
-    gap, sigma = central_gap(current.a1.power(m))
-    if gap > REFUSE_BAND:
-        # A1^m non-central: A3, B3 already sit on A1's maximal torus
-        axis = current.a1.axis()
-        snapped = replace(
-            current,
-            a3=torus_snap(current.a3, axis),
-            b3=torus_snap(current.b3, axis),
-        )
-        snapped = _snap_pairs_commuting(snapped)
-        points.append(snapped)
-        points += _contract_commuting_tail(snapped, cfg)
-        return points
-
-    # diagonal stratum: A1^m central and angle(X) = angle(A1)
-    theta = _quantize_angle(current.a1, m, sigma)
-    a1_new = _snap_to_angle(current.a1, theta)
-    current = replace(current, a1=a1_new)
-    points.append(current)
-    y0 = commutator(current.a3, current.b3)
-    if y0.dist(ONE) > 1e-9 and not a1_new.is_central(1e-12):
-        x_path, psi = _constant_angle_path(y0 * current.a1, current.a1.axis())
-        a1_inv = current.a1.inverse()
-
-        def y_of_t(t: float) -> SU2:
-            return x_path(t) * a1_inv
-
-        points += _dual_fiber_leg(
-            current, y_of_t, cfg, rng, "diagonal-merge",
-            init_steps=_chop(max(psi, 0.2), cfg.max_step), snap_tail=True,
-        )
-        current = points[-1]
+            merge = (*geodesic_to_one(y0, E1), "descend-n0")
     else:
-        snapped = _snap_pairs_commuting(current)
-        points.append(snapped)
-        current = snapped
-    points += _contract_commuting_tail(current, cfg)
+        gap, sigma = central_gap(rep.a1.power(m))
+        if gap > REFUSE_BAND:
+            # A1^m non-central: A3, B3 already sit on A1's maximal torus
+            axis = rep.a1.axis()
+            rep = replace(rep, a3=torus_snap(rep.a3, axis), b3=torus_snap(rep.b3, axis))
+        else:
+            # diagonal stratum: A1^m central and angle(X) = angle(A1)
+            k = quantized_index(rep.a1.angle(), m, sigma, "angle(a1)")
+            theta = quantized_angle(m, "+" if sigma > 0 else "-", k)
+            rep = replace(rep, a1=_snap_to_angle(rep.a1, theta))
+            points.append(rep)
+            y0 = commutator(rep.a3, rep.b3)
+            if y0.dist(ONE) > 1e-9 and not rep.a1.is_central(1e-12):
+                x_path, psi = _constant_angle_path(y0 * rep.a1, rep.a1.axis())
+                a1_inv = rep.a1.inverse()
+                merge = (lambda t: x_path(t) * a1_inv, psi, "diagonal-merge")
+    if merge is None:
+        a3, b3 = snap_commuting_pair(rep.a3, rep.b3)
+        a2, b2 = snap_commuting_pair(rep.a2, rep.b2)
+        points.append(replace(rep, a2=a2, b2=b2, a3=a3, b3=b3))
+    else:
+        points += _dual_fiber_leg(rep, merge[0], merge[1], cfg, rng, merge[2])
+    points += _contract(points[-1], ("a3", "b3", "a2", "b2", "a1"), cfg)
     return points
 
 
@@ -614,7 +538,7 @@ def _fix_path_points(
     label = classify_fix(rep, n, cfg.residual_tol)
     m = abs(n)
     points: list[SurfaceRep] = [rep]
-    points += _track_b1_leg(points[-1], cfg, rng)
+    points += _track_b1_leg(rep, cfg, rng)
 
     if label.is_central:
         points += _central_descent(points[-1], m, cfg, rng)
@@ -629,8 +553,7 @@ def _fix_path_points(
     if math.sin(theta_k) > 1e-12:
         target_a1 = exp_axis_angle(E1, current.a1.angle())
         g = align_conjugator(current.a1, target_a1, trace_tol=1e-6)
-        for node in _conjugation_nodes(current, g, cfg):
-            points.append(node)
+        points += [current.conjugate(h) for h in conjugators(g, cfg.max_step)]
         current = points[-1]
 
     # exact snaps: A1's angle, then X's angle, with a fiber polish
@@ -655,106 +578,50 @@ def _fix_path_points(
         x_path, psi = _constant_angle_path(x_snapped, E1)
         if psi > 1e-12:
             a1_inv = current.a1.inverse()
-
-            def y_of_t(t: float) -> SU2:
-                return x_path(t) * a1_inv
-
             points += _dual_fiber_leg(
-                current, y_of_t, cfg, rng, "rotate-x",
-                init_steps=_chop(psi, cfg.max_step),
+                current, lambda t: x_path(t) * a1_inv, psi, cfg, rng, "rotate-x"
             )
-            current = points[-1]
 
     # within-fiber legs to the canonical pairs
     target = canonical_representative(n, label)
     y_star = commutator(target.a3, target.b3)
-    try:
-        leg3 = connect_in_fiber(
-            (current.a3, current.b3),
-            (target.a3, target.b3),
-            y_star,
-            tol=cfg.node_tol,
-            max_step=cfg.max_step,
-            depth=cfg.bisection_depth,
-            rng=rng,
-        )
-    except FiberConnectError as exc:
-        raise PathError(str(exc), stage="fiber-endgame-3") from exc
-    for pa, pb in leg3[1:]:
-        current = replace(current, a3=pa, b3=pb)
-        points.append(current)
-    try:
-        leg2 = connect_in_fiber(
-            (current.a2, current.b2),
-            (target.a2, target.b2),
-            y_star.inverse(),
-            tol=cfg.node_tol,
-            max_step=cfg.max_step,
-            depth=cfg.bisection_depth,
-            rng=rng,
-        )
-    except FiberConnectError as exc:
-        raise PathError(str(exc), stage="fiber-endgame-2") from exc
-    for pa, pb in leg2[1:]:
-        current = replace(current, a2=pa, b2=pb)
-        points.append(current)
+    points += _fiber_leg(
+        points[-1], ("a3", "b3"), (target.a3, target.b3), y_star, cfg, rng,
+        "fiber-endgame-3",
+    )
+    points += _fiber_leg(
+        points[-1], ("a2", "b2"), (target.a2, target.b2), y_star.inverse(), cfg, rng,
+        "fiber-endgame-2",
+    )
     points.append(target)
     return label, points
-
-
-def _conjugation_nodes(rep: Rep, g: SU2, cfg: PathConfig) -> list[Rep]:
-    """Conjugate rep by the one-parameter family from 1 to g, stepped."""
-    if g.is_central(1e-12):
-        return []
-    theta = g.angle()
-    axis = g.axis()
-    steps = _chop(2.0 * theta, cfg.max_step)
-    out = []
-    for i in range(1, steps + 1):
-        gi = exp_axis_angle(axis, theta * i / steps)
-        out.append(rep.conjugate(gi))
-    return out
 
 
 # -- canonical staged paths (torus system) -----------------------------------
 
 def _bridge_to_plus_one(n: int, cfg: PathConfig) -> list[TorusRep]:
     """Explicit nodes from (-1, trivial) to (1, trivial)."""
-    out: list[TorusRep] = []
     triv = trivial_rep()
     if n == 0:
-        for node in _route_to_one(MINUS_ONE, cfg.max_step, prefer_axis=E1):
-            out.append(TorusRep(node, triv))
-        return out
+        return _contract(TorusRep(MINUS_ONE, triv), ("t",), cfg)
     m = abs(n)
     omega_angle = math.pi / m
-    steps = _chop((1 + m) * omega_angle, cfg.max_step)
+    steps = step_count((1 + m) * omega_angle, cfg.max_step)
+    out: list[TorusRep] = []
     for i in range(1, steps + 1):
         a = exp_axis_angle(E1, omega_angle * i / steps)
-        t = MINUS_ONE * a.power(-n)
-        out.append(TorusRep(t, replace(triv, a1=a, b3=a)))
-    current = out[-1]
-    for name in ("b3", "a1"):
-        for node in _route_to_one(getattr(current.rep, name), cfg.max_step):
-            current = TorusRep(ONE, replace(current.rep, **{name: node}))
-            out.append(current)
-    return out
+        out.append(TorusRep(MINUS_ONE * a.power(-n), replace(triv, a1=a, b3=a)))
+    # the family ends at T = +1 up to rounding
+    return out + _contract(TorusRep(ONE, out[-1].rep), ("b3", "a1"), cfg)
 
 
 def _all_commuting_descent(trep: TorusRep, cfg: PathConfig) -> list[TorusRep]:
     """Descent for mutually commuting tuples with non-central T."""
     axis = trep.t.axis()
     snapped = SurfaceRep(*(torus_snap(el, axis) for el in trep.rep.elements()))
-    out = [TorusRep(trep.t, snapped)]
-    current = out[-1]
-    for name in ("a3", "b3", "a2", "b2", "b1", "a1"):
-        for node in _route_to_one(getattr(current.rep, name), cfg.max_step):
-            current = TorusRep(current.t, replace(current.rep, **{name: node}))
-            out.append(current)
-    for node in _route_to_one(current.t, cfg.max_step, prefer_axis=axis):
-        current = TorusRep(node, current.rep)
-        out.append(current)
-    return out
+    start = TorusRep(trep.t, snapped)
+    names = ("a3", "b3", "a2", "b2", "b1", "a1", "t")
+    return [start] + _contract(start, names, cfg, axis)
 
 
 def _boundary_stratum_descent(
@@ -778,71 +645,42 @@ def _boundary_stratum_descent(
             stage="boundary",
         )
     s = ONE if s_sign > 0 else MINUS_ONE
-    out: list[TorusRep] = []
-    current = trep
+    out: list[TorusRep] = [trep]
     # leg 1: (A3, B3) -> (B1, A1) within the fiber of [B1, A1]
-    c_fiber = commutator(rep.b1, rep.a1)
-    try:
-        leg = connect_in_fiber(
-            (rep.a3, rep.b3),
-            (rep.b1, rep.a1),
-            c_fiber,
-            tol=cfg.node_tol,
-            max_step=cfg.max_step,
-            depth=cfg.bisection_depth,
-            rng=rng,
-        )
-    except FiberConnectError as exc:
-        raise PathError(str(exc), stage="boundary-leg1") from exc
-    for pa, pb in leg[1:]:
-        current = TorusRep(current.t, replace(current.rep, a3=pa, b3=pb))
-        out.append(current)
+    out += _fiber_leg(
+        trep, ("a3", "b3"), (rep.b1, rep.a1), commutator(rep.b1, rep.a1), cfg, rng,
+        "boundary-leg1",
+    )
     # leg 2: snap and contract (A2, B2) along T's torus
-    axis_t = current.t.axis()
-    current = TorusRep(
-        current.t,
-        replace(
-            current.rep,
+    axis_t = trep.t.axis()
+    current = out[-1]
+    out.append(
+        _with(
+            current,
             a2=torus_snap(current.rep.a2, axis_t),
             b2=torus_snap(current.rep.b2, axis_t),
-        ),
+        )
     )
-    out.append(current)
-    for name in ("a2", "b2"):
-        for node in _route_to_one(getattr(current.rep, name), cfg.max_step):
-            current = TorusRep(current.t, replace(current.rep, **{name: node}))
-            out.append(current)
+    out += _contract(out[-1], ("a2", "b2"), cfg, axis_t)
     # leg 3: move A1 (with B3 = A1) to omega with omega^n = s; T explicit
-    a1 = current.rep.a1
-    b1 = current.rep.b1
-    u = a1.axis()
-    theta0 = a1.angle()
+    u = rep.a1.axis()
+    theta0 = rep.a1.angle()
     theta1 = 0.0 if s_sign > 0 else math.pi / abs(n)
-    steps = _chop((1 + abs(n)) * abs(theta0 - theta1), cfg.max_step)
-    b1_inv = b1.inverse()
+    steps = step_count((1 + abs(n)) * abs(theta0 - theta1), cfg.max_step)
+    b1_inv = rep.b1.inverse()
     for i in range(1, steps + 1):
-        th = theta0 + (theta1 - theta0) * i / steps
-        a = exp_axis_angle(u, th)
-        t = s * (b1 * a.power(-n) * b1_inv)
-        current = TorusRep(t, replace(current.rep, a1=a, b3=a))
-        out.append(current)
+        a = exp_axis_angle(u, theta0 + (theta1 - theta0) * i / steps)
+        t = s * (rep.b1 * a.power(-n) * b1_inv)
+        out.append(TorusRep(t, replace(out[-1].rep, a1=a, b3=a)))
     # leg 4: B1 -> 1 (A3 tracks); T stays at +1
-    b1_now = current.rep.b1
-    if b1_now.dot(ONE) < -1.0 + 1e-9:
-        waypoint = exp_axis_angle(u, math.pi / 2.0)
-        mids = _geodesic_nodes(b1_now, waypoint, cfg.max_step)
-        mids += _geodesic_nodes(waypoint, ONE, cfg.max_step)
-    else:
-        mids = _geodesic_nodes(b1_now, ONE, cfg.max_step)
-    for node in mids:
-        current = TorusRep(ONE, replace(current.rep, b1=node, a3=node))
-        out.append(current)
+    b1_path, speed = geodesic_to_one(rep.b1, u)
+    steps = step_count(speed, cfg.max_step)
+    for i in range(1, steps + 1):
+        node = b1_path(i / steps)
+        out.append(TorusRep(ONE, replace(out[-1].rep, b1=node, a3=node)))
     # leg 5: contract the leftover pair A1 = B3 = omega
-    for name in ("b3", "a1"):
-        for node in _route_to_one(getattr(current.rep, name), cfg.max_step):
-            current = TorusRep(ONE, replace(current.rep, **{name: node}))
-            out.append(current)
-    return out
+    out += _contract(out[-1], ("b3", "a1"), cfg, u)
+    return out[1:]
 
 
 def canonical_torus_path(
@@ -984,9 +822,15 @@ class CensusReport:
     estimated_components: int
     path_classes: int
     unresolved_samples: int
-    cross_label_certificates: int
     label_anomalies: int
     rows: tuple[CensusRow, ...]
+
+    @property
+    def cross_label_certificates(self) -> int:
+        """Certificates joining two labels: 0 by construction, since a
+        certificate counts only after verify_certificate has required both
+        endpoints to carry its label.  Kept in the census-1 document."""
+        return 0
 
     @property
     def agrees_with_closed_form(self) -> bool:
@@ -1066,7 +910,6 @@ def census(
 
     observed: set[str] = set()
     rows: list[CensusRow] = []
-    cross_label = 0
     anomalies = 0
     unresolved = 0
     for li, label in enumerate(labels):
@@ -1081,7 +924,7 @@ def census(
                 else:
                     rep = randomized_torus_representative(n, label, rng)
                     got = classify_torus(rep, n, cfg.residual_tol).text()
-            except (Unclassifiable, ValueError, RuntimeError):
+            except (ValueError, RuntimeError):
                 unresolved += 1
                 continue
             classified += 1
@@ -1093,17 +936,11 @@ def census(
                     cert = canonical_path(rep, n, cfg, rng)
                 else:
                     cert = canonical_torus_path(rep, n, cfg, rng)
-            except (PathError, Unclassifiable, ValueError, RuntimeError):
+            except (ValueError, RuntimeError):
                 unresolved += 1
                 continue
-            check = verify_certificate(cert)
-            if not check.ok:
+            if not verify_certificate(cert).ok:
                 unresolved += 1
-                continue
-            first = _classify_text(cert.points[0], system, n, cfg.residual_tol)
-            last = _classify_text(cert.points[-1], system, n, cfg.residual_tol)
-            if first != last:
-                cross_label += 1
                 continue
             path_ok += 1
         rows.append(CensusRow(label.text(), samples_per_label, classified, path_ok))
@@ -1117,7 +954,6 @@ def census(
         estimated_components=len(observed),
         path_classes=len(labels) + sum(r.samples - r.path_ok for r in rows),
         unresolved_samples=unresolved,
-        cross_label_certificates=cross_label,
         label_anomalies=anomalies,
         rows=tuple(rows),
     )

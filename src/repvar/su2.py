@@ -13,7 +13,7 @@ an explicit numpy Generator.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +39,11 @@ __all__ = [
     "axis_rotation",
     "qmul",
     "torus_snap",
+    "random_axis",
+    "step_count",
+    "contract_to_one",
+    "conjugators",
+    "geodesic_to_one",
 ]
 
 
@@ -255,6 +260,67 @@ def haar_random(rng: np.random.Generator) -> SU2:
         n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2)
         if n > 1e-6:
             return SU2(v[0] / n, v[1] / n, v[2] / n, v[3] / n)
+
+
+def random_axis(rng: np.random.Generator) -> tuple[float, float, float]:
+    """Uniform unit 3-vector: a normalized 3-dimensional Gaussian."""
+    v = rng.standard_normal(3)
+    v = v / np.linalg.norm(v)
+    return (float(v[0]), float(v[1]), float(v[2]))
+
+
+# -- stepped paths ------------------------------------------------------------
+
+def step_count(dist: float, max_step: float) -> int:
+    """Fewest equal steps, at least one, that cover dist within max_step."""
+    return max(1, math.ceil(dist / max_step))
+
+
+def contract_to_one(el: SU2, max_step: float, axis=E1) -> list[SU2]:
+    """Nodes after el down to 1 along its maximal torus, stepped.
+
+    An element within 1e-12 of the center has no reliable axis of its own
+    and contracts along `axis` (from -1 as well).
+    """
+    theta = el.angle()
+    if theta < 1e-15:
+        return []
+    if math.sqrt(el.x**2 + el.y**2 + el.z**2) > 1e-12:
+        axis = el.axis()
+    steps = step_count(theta, max_step)
+    return [exp_axis_angle(axis, theta * (1 - i / steps)) for i in range(1, steps + 1)]
+
+
+def conjugators(g: SU2, max_step: float) -> list[SU2]:
+    """Stepped one-parameter family from 1 (excluded) to g (included).
+
+    Conjugating by consecutive members moves any element by at most
+    max_step; empty for central g, whose conjugation is the identity map.
+    """
+    if g.is_central(1e-12):
+        return []
+    theta = g.angle()
+    axis = g.axis()
+    steps = step_count(2.0 * theta, max_step)
+    return [exp_axis_angle(axis, theta * i / steps) for i in range(1, steps + 1)]
+
+
+def geodesic_to_one(u: SU2, way_axis) -> tuple[Callable[[float], SU2], float]:
+    """A path from u (t = 0) to 1 (t = 1) and a bound on its speed.
+
+    The geodesic; from (nearly) -1, where it is not unique, two geodesics
+    through the quarter turn about `way_axis`.
+    """
+    if u.dot(ONE) >= -1.0 + 1e-9:
+        return (lambda t: geodesic(u, ONE, t)), geodesic_distance(u, ONE)
+    mid = exp_axis_angle(way_axis, math.pi / 2.0)
+
+    def path(t: float) -> SU2:
+        if t <= 0.5:
+            return geodesic(u, mid, 2.0 * t)
+        return geodesic(mid, ONE, 2.0 * t - 1.0)
+
+    return path, 2.0 * max(geodesic_distance(u, mid), geodesic_distance(mid, ONE))
 
 
 class AlignmentError(ValueError):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from repvar.cli import main
 
 
@@ -122,3 +124,19 @@ def test_verify_cli(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert all(row["ok"] for row in doc["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "2", "--seed", "1"),
+        ("enumerate", "--n", "2", "--out", "labels.txt"),
+        ("representative", "--n", "2", "--label", "central", "--format", "json"),
+        ("probe", "a.json", "b.json", "--n", "2"),
+        ("census", "--n", "1", "--samples", "0"),
+    ],
+)
+def test_unread_flags_and_bad_samples_are_input_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2

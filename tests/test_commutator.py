@@ -3,6 +3,7 @@ import pytest
 
 from repvar.commutator import (
     FiberPath,
+    continue_fiber,
     fiber_path,
     fricke_trace,
     project_pair_to_fiber,
@@ -20,6 +21,7 @@ from repvar.su2 import (
     commutator,
     exp_axis_angle,
     exp_tangent,
+    geodesic,
     geodesic_distance,
     haar_random,
 )
@@ -121,6 +123,12 @@ def test_snap_commuting_pair():
     a, b = snap_commuting_pair(u, v)
     assert commutator(a, b).dist(ONE) < 1e-14
     assert a.dist(u) + b.dist(v) < 1e-6
+    # near -1 the larger angle is the element nearer the center: it moves
+    u = exp_axis_angle(E1, 3.1415)
+    v = exp_axis_angle((0.0, 1.0, 0.0), 1.5)
+    a, b = snap_commuting_pair(u, v)
+    assert commutator(a, b).dist(ONE) < 1e-14
+    assert a.dist(u) + b.dist(v) < 1e-3
 
 
 def test_connect_in_fiber_stays_in_fiber():
@@ -137,6 +145,33 @@ def test_connect_in_fiber_stays_in_fiber():
             assert max(
                 geodesic_distance(p[0], q[0]), geodesic_distance(p[1], q[1])
             ) <= 0.2 + 1e-12
+
+
+def test_continue_fiber_two_pairs_snap_at_identity():
+    # (A3, B3) over y(t) and (A2, B2) over y(t)^-1 as y(t) runs to 1
+    rng = np.random.default_rng(12)
+    y0 = haar_random(rng)
+    pairs = (sample_fiber(y0, rng), sample_fiber(y0.inverse(), rng))
+
+    def targets(t):
+        y = geodesic(y0, ONE, t)
+        return (y, y.inverse())
+
+    nodes = continue_fiber(pairs, targets, init_steps=4, tol=1e-10, max_step=0.2, rng=rng)
+    assert nodes[0] == (0.0, pairs)
+    assert nodes[-1][0] == 1.0
+    for t, node in nodes:
+        assert len(node) == 2
+        for (a, b), c in zip(node, targets(t)):
+            if c.angle() < 1e-6:
+                assert commutator(a, b).dist(ONE) < 1e-14
+            else:
+                assert commutator(a, b).dist(c) < 1e-9
+    for (_, p), (_, q) in zip(nodes, nodes[1:]):
+        for (a0, b0), (a1, b1) in zip(p, q):
+            assert max(geodesic_distance(a0, a1), geodesic_distance(b0, b1)) <= 0.2
+    # the pairs snap once the target reaches 1
+    assert all(commutator(a, b).dist(ONE) < 1e-14 for a, b in nodes[-1][1])
 
 
 def test_fiber_path_constant_identity():

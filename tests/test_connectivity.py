@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repvar.connectivity import (
     verify_certificate,
 )
 from repvar import connectivity, varieties
+from repvar.commutator import sample_fiber, solve_commutator
 from repvar.su2 import MINUS_ONE, ONE, SU2, commutator, exp_axis_angle, haar_random
 from repvar.varieties import (
     SurfaceRep,
@@ -150,6 +152,40 @@ def test_canonical_torus_path_flavors():
     cert = canonical_torus_path(trep, 2, CFG, rng)
     assert verify_certificate(cert).ok
     assert cert.label == "central"
+
+
+def _antipodal_starts():
+    """(system, n, start, end) with B1 or [A3, B3] at -1, where the
+    staged legs detour through a quarter turn."""
+    rng = np.random.default_rng(41)
+    for n, label in ((3, ComponentLabel("-", 0, 1)), (4, ComponentLabel("+", 2, 0))):
+        end = canonical_representative(n, label)
+        yield "fix", n, replace(end.conjugate(haar_random(rng)), b1=MINUS_ONE), end
+    a2, b2 = solve_commutator(MINUS_ONE)
+    a3, b3 = sample_fiber(MINUS_ONE, rng)
+    yield "fix", 0, SurfaceRep(haar_random(rng), ONE, a2, b2, a3, b3), trivial_rep()
+    # T X^n central with T not: T = B1 A1^-n B1^-1 = A1^-n for B1 = -1
+    a1 = exp_axis_angle((0.0, 0.6, 0.8), 0.9)
+    a3, b3 = sample_fiber(ONE, rng)
+    t = a1.power(-2)
+    a2, b2 = exp_axis_angle(t.axis(), 0.4), exp_axis_angle(t.axis(), -1.3)
+    tup = SurfaceRep(a1, MINUS_ONE, a2, b2, a3, b3)
+    yield "torus", 2, TorusRep(t, tup), TorusRep(ONE, trivial_rep())
+
+
+@pytest.mark.parametrize(
+    "system, n, start, end",
+    list(_antipodal_starts()),
+    ids=["b1-n3", "b1-n4", "commutators-n0", "boundary-b1-n2"],
+)
+def test_antipodal_starts_detour_and_verify(system, n, start, end):
+    assert residual_for(start, system, n).max < 1e-12
+    path = canonical_path if system == "fix" else canonical_torus_path
+    cert = path(start, n, CFG, np.random.default_rng(42))
+    assert verify_certificate(cert).ok
+    assert cert.max_step <= CFG.max_step + 1e-12
+    assert cert.points[0].dist(start) < 1e-12
+    assert cert.points[-1].dist(end) < 1e-9
 
 
 def test_bridge_at_n_zero():

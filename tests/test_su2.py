@@ -14,9 +14,12 @@ from repvar.su2 import (
     AlignmentError,
     align_conjugator,
     commutator,
+    conjugators,
+    contract_to_one,
     exp_axis_angle,
     geodesic,
     geodesic_distance,
+    geodesic_to_one,
     haar_random,
 )
 
@@ -126,6 +129,35 @@ def test_align_random_conjugate_pairs():
         v = u.conjugate_by(h)
         g = align_conjugator(u, v)
         assert u.conjugate_by(g).dist(v) < 1e-10
+
+
+def test_stepped_paths_respect_the_step_bound():
+    u, g, x = rand_elements(17, 3)
+    axis = (0.0, 0.6, 0.8)
+    # contraction: along u's torus, or along `axis` from -1
+    for el, along in ((u, u.axis()), (MINUS_ONE, axis)):
+        nodes = contract_to_one(el, 0.2, axis)
+        assert nodes[-1].dist(ONE) < 1e-15
+        for p, q in zip([el, *nodes], nodes):
+            assert geodesic_distance(p, q) <= 0.2 + 1e-12
+        for node in nodes[:-1]:
+            assert max(abs(a - b) for a, b in zip(node.axis(), along)) < 1e-12
+    assert contract_to_one(ONE, 0.2) == []
+    # conjugators: from 1 to g, each step moving a conjugate within the bound
+    hs = conjugators(g, 0.2)
+    assert hs[-1].dist(g) < 1e-12
+    for h0, h1 in zip([ONE, *hs], hs):
+        assert geodesic_distance(x.conjugate_by(h0), x.conjugate_by(h1)) <= 0.2 + 1e-12
+    assert conjugators(MINUS_ONE, 0.2) == []
+    # geodesic to 1: from -1 through the quarter turn, within the speed bound
+    for start in (u, MINUS_ONE):
+        path, speed = geodesic_to_one(start, axis)
+        ts = [i / 64 for i in range(65)]
+        assert path(0.0).dist(start) < 1e-12 and path(1.0).dist(ONE) < 1e-12
+        for s, t in zip(ts, ts[1:]):
+            assert geodesic_distance(path(s), path(t)) <= speed * (t - s) + 1e-12
+    path, _ = geodesic_to_one(MINUS_ONE, axis)
+    assert path(0.5).dist(exp_axis_angle(axis, math.pi / 2)) < 1e-12
 
 
 def test_is_central():
