@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -74,11 +76,7 @@ def _emit(doc: dict, lines: list[str], fmt: str) -> None:
 
 
 def _path_config(args: argparse.Namespace) -> PathConfig:
-    return PathConfig(
-        residual_tol=args.tol,
-        bisection_depth=args.depth,
-        projection_iters=args.iters,
-    )
+    return PathConfig(residual_tol=args.tol, bisection_depth=args.depth)
 
 
 # -- commands ----------------------------------------------------------------
@@ -210,7 +208,7 @@ def cmd_probe(args) -> int:
         print("error: cannot probe between torus and surface representations", file=sys.stderr)
         return INPUT_ERROR
     system = "torus" if isinstance(r0, TorusRep) else "fix"
-    cfg = _path_config(args)
+    cfg = replace(_path_config(args), projection_iters=args.iters)
     try:
         cert = probe_path(r0, r1, system, n0, cfg)
     except LabelMismatchError as exc:
@@ -364,7 +362,6 @@ def _add_path_flags(p: argparse.ArgumentParser, *, tol: float) -> None:
     """The options _path_config reads."""
     p.add_argument("--tol", type=float, default=tol, help="residual tolerance")
     p.add_argument("--depth", type=int, default=12, help="bisection depth")
-    p.add_argument("--iters", type=int, default=100, help="projection iterations")
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -373,11 +370,14 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,12 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep0", type=str)
     p.add_argument("rep1", type=str)
     _add_path_flags(p, tol=1e-7)
+    p.add_argument("--iters", type=int, default=100, help="projection iterations")
     p.add_argument("--out", type=str, default="", help="output file (default: stdout)")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("census", help="Monte Carlo component census (fix and torus)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=20, help="samples per label")
+    p.add_argument("--samples", type=_int_at_least(1), default=20, help="samples per label")
     p.add_argument("--seed", type=int, default=0, help="master random seed")
     _add_path_flags(p, tol=1e-7)
     _add_format(p)
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification table up to n")
     p.add_argument("--n", type=int, default=4, help="largest twist power checked")
     p.add_argument(
-        "--samples", type=int, default=0, help="census samples per label (0: no census)"
+        "--samples", type=_int_at_least(0), default=0, help="census samples per label (0: none)"
     )
     p.add_argument("--seed", type=int, default=0, help="master random seed")
     _add_path_flags(p, tol=1e-9)

@@ -27,20 +27,18 @@ import numpy as np
 
 from .su2 import (
     E1,
-    MINUS_ONE,
     ONE,
     SU2,
     align_conjugator,
     commutator,
-    conjugators,
     contract_to_one,
     exp_axis_angle,
     exp_tangent,
     geodesic,
-    geodesic_distance,
     haar_random,
     qmul,
     random_axis,
+    step_between,
     torus_snap,
 )
 
@@ -195,17 +193,17 @@ def random_centralizer_element(u: SU2, rng: np.random.Generator) -> SU2:
     return exp_axis_angle(u.axis(), rng.uniform(-math.pi, math.pi))
 
 
-def randomize_in_fiber(a: SU2, b: SU2, rng: np.random.Generator, rounds: int = 2) -> Pair:
+def randomize_in_fiber(a: SU2, b: SU2, rng: np.random.Generator) -> Pair:
     """Exact moves inside the fiber of [a, b].
 
     Right multiplication of one component by an element of the other's
     centralizer leaves the commutator unchanged, as does conjugating the
     pair by anything commuting with the commutator value.  Composing the
-    three one-parameter families with random angles spreads a point across
-    the fiber without leaving it.
+    three one-parameter families with random angles, in two rounds, spreads
+    a point across the fiber without leaving it.
     """
     c = commutator(a, b)
-    for _ in range(rounds):
+    for _ in range(2):
         b = b * random_centralizer_element(a, rng)
         a = a * random_centralizer_element(b, rng)
         g = random_centralizer_element(c, rng)
@@ -214,18 +212,13 @@ def randomize_in_fiber(a: SU2, b: SU2, rng: np.random.Generator, rounds: int = 2
     return a, b
 
 
-def sample_fiber(
-    c: SU2,
-    rng: np.random.Generator,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-    restarts: int = 8,
-) -> Pair:
+def sample_fiber(c: SU2, rng: np.random.Generator, tol: float = 1e-12) -> Pair:
     """A random pair with [A, B] = c within tol.
 
-    Randomized start followed by Newton projection; for c at the identity
-    the fiber is the commuting pairs, sampled exactly on a random maximal
-    torus.  Raises ProjectionError if no restart converges in budget.
+    Haar random start followed by Newton projection (100 iterations, up to
+    8 restarts); for c at the identity the fiber is the commuting pairs,
+    sampled exactly on a random maximal torus.  Raises ProjectionError if
+    no restart converges in budget.
     """
     if c.dist(ONE) < 1e-12:
         axis = random_axis(rng)
@@ -233,14 +226,14 @@ def sample_fiber(
             exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)),
             exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)),
         )
-    for _ in range(restarts):
+    for _ in range(8):
         a, b, res, ok = project_pair_to_fiber(
-            haar_random(rng), haar_random(rng), c, tol=tol, max_iter=max_iter
+            haar_random(rng), haar_random(rng), c, tol=tol, max_iter=100
         )
         if ok:
             return a, b
     raise ProjectionError(
-        f"fiber projection failed after {restarts} restarts (last residual {res:.3e})"
+        f"fiber projection failed after 8 restarts (last residual {res:.3e})"
     )
 
 
@@ -261,8 +254,9 @@ def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
 
 # -- within-fiber connectivity -----------------------------------------
 
-def _pair_step(p: Pair, q: Pair) -> float:
-    return max(geodesic_distance(p[0], q[0]), geodesic_distance(p[1], q[1]))
+# A target this close to 1 counts as 1: pairs are snapped onto the
+# commuting stratum instead of projected onto a singular fiber.
+_SNAP_ANGLE = 1e-6
 
 
 def _project_or_none(pair: Pair, c: SU2, tol: float) -> Pair | None:
@@ -301,7 +295,7 @@ def _bisect_in_fiber(
     max_step: float,
     depth: int,
 ) -> list[Pair]:
-    if _pair_step(left, right) <= max_step:
+    if step_between(left, right) <= max_step:
         return [left, right]
     if depth <= 0:
         raise FiberConnectError("bisection depth exhausted")
@@ -317,12 +311,6 @@ def _bisect_in_fiber(
     return a + b[1:]
 
 
-def _conjugation_leg(pair: Pair, g: SU2, max_step: float) -> list[Pair]:
-    """Nodes after `pair` conjugating it by the stepped path from 1 to g."""
-    a, b = pair
-    return [(a.conjugate_by(h), b.conjugate_by(h)) for h in conjugators(g, max_step)]
-
-
 def connect_in_fiber(
     p0: Pair,
     p1: Pair,
@@ -335,76 +323,40 @@ def connect_in_fiber(
 ) -> list[Pair]:
     """A discrete path inside the fiber [A, B] = c joining p0 to p1.
 
-    Strategy: conjugation legs (exact) to pre-align, then recursive
-    midpoint bisection with Newton re-projection; random fiber waypoints
-    as a fallback.  Every fiber of the commutator map is connected, so
-    failure indicates a search budget problem, and is raised as
-    FiberConnectError rather than hidden.
+    For c within angle 1e-6 of 1 the path runs through the commuting
+    stratum via (1, 1).  Otherwise it is a recursive midpoint bisection
+    from p0 to p1 with Newton re-projection of each midpoint; only when
+    that fails is a random fiber waypoint drawn from rng (up to three
+    times, one fresh waypoint per retry).  Every fiber of the commutator
+    map is connected, so failure indicates a search budget problem, and is
+    raised as FiberConnectError rather than hidden.
     """
-    if c.angle() < 1e-6:
+    if c.angle() < _SNAP_ANGLE:
         return _commuting_stratum_route(p0, p1, max_step)
+
+    def bisect(left: Pair, right: Pair) -> list[Pair]:
+        return _bisect_in_fiber(left, right, c, tol=tol, max_step=max_step, depth=depth)
+
+    try:
+        return bisect(p0, p1)
+    except FiberConnectError as exc:
+        error: Exception = exc
     if rng is None:
         rng = np.random.default_rng(0)
-
-    prefix: list[Pair] = [p0]
-    start = p0
-    if c.dist(MINUS_ONE) < 1e-9:
-        # Conjugation by anything preserves the fiber of a central value:
-        # align first components exactly, then rotate about the common axis.
-        g = align_conjugator(p0[0], p1[0], trace_tol=1e-6)
-        prefix += _conjugation_leg(p0, g, max_step)
-        start = prefix[-1]
-        ax = p1[0].axis()
-        best = None
-        for k in range(64):
-            phi = math.pi * k / 32.0
-            z = exp_axis_angle(ax, phi)
-            cand = (start[0].conjugate_by(z), start[1].conjugate_by(z))
-            d = _pair_step(cand, p1)
-            if best is None or d < best[0]:
-                best = (d, z)
-        prefix += _conjugation_leg(start, best[1], max_step)
-        start = prefix[-1]
-    else:
-        ax = c.axis()
-        best = None
-        for k in range(32):
-            phi = -math.pi + math.pi * k / 16.0
-            z = exp_axis_angle(ax, phi)
-            cand = (p0[0].conjugate_by(z), p0[1].conjugate_by(z))
-            d = _pair_step(cand, p1)
-            if best is None or d < best[0]:
-                best = (d, z)
-        prefix += _conjugation_leg(p0, best[1], max_step)
-        start = prefix[-1]
-
-    attempts: list[list[Pair]] = [[start, p1]]
     for _ in range(3):
         try:
             w = sample_fiber(c, rng, tol=tol)
-        except ProjectionError:
-            continue
-        attempts.append([start, w, p1])
-    last_error: Exception | None = None
-    for waypoints in attempts:
-        try:
-            path = [waypoints[0]]
-            for a, b in zip(waypoints, waypoints[1:]):
-                seg = _bisect_in_fiber(a, b, c, tol=tol, max_step=max_step, depth=depth)
-                path += seg[1:]
-            return prefix + path[1:]
-        except FiberConnectError as exc:
-            last_error = exc
-    raise FiberConnectError(f"no route found in fiber: {last_error}")
+            return bisect(p0, w) + bisect(w, p1)[1:]
+        except (ProjectionError, FiberConnectError) as exc:
+            error = exc
+    raise FiberConnectError(f"no route found in fiber: {error}")
 
 
 # -- moving-fiber continuation -----------------------------------------
 
-def _step_pair(
-    pair: Pair, target: SU2, tol: float, snap_angle: float, rng: np.random.Generator
-) -> Pair | None:
+def _step_pair(pair: Pair, target: SU2, tol: float, rng: np.random.Generator) -> Pair | None:
     """`pair` moved onto the fiber of `target`, or None when that fails."""
-    if target.angle() < snap_angle:
+    if target.angle() < _SNAP_ANGLE:
         return snap_commuting_pair(*pair)
     a, b, _, ok = project_pair_to_fiber(pair[0], pair[1], target, tol=tol)
     if not ok:
@@ -419,48 +371,44 @@ def continue_fiber(
     pairs: tuple[Pair, ...],
     targets: Callable[[float], tuple[SU2, ...]],
     *,
-    t0: float = 0.0,
-    t1: float = 1.0,
     init_steps: int = 16,
     tol: float = 1e-10,
     max_step: float = 0.2,
-    snap_angle: float = 1e-6,
-    max_nodes: int = 4096,
     rng: np.random.Generator | None = None,
 ) -> list[tuple[float, tuple[Pair, ...]]]:
-    """Track pairs along moving fibers [A_i, B_i] = targets(t)[i], t0 -> t1.
+    """Track pairs along moving fibers [A_i, B_i] = targets(t)[i], t 0 -> 1.
 
     Adaptive stepping: the parameter step halves when a warm-started
     projection fails or any element moves farther than max_step, and grows
-    back on success, up to (t1 - t0) / init_steps.  Targets within
-    snap_angle of the identity are handled by snapping the pair onto the
+    back on success, up to 1 / init_steps.  Targets within angle 1e-6 of
+    the identity are handled by snapping the pair onto the
     exactly-commuting stratum instead of projecting against a singular
-    fiber.  Returns (t, pairs) nodes, starting with (t0, pairs).
+    fiber.  At most 4096 nodes.  Returns (t, pairs) nodes, starting with
+    (0, pairs).
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    span = t1 - t0
-    dt = span / init_steps
-    min_dt = span / (init_steps * 4096.0)
-    nodes: list[tuple[float, tuple[Pair, ...]]] = [(t0, tuple(pairs))]
-    t = t0
-    while t < t1 - 1e-15 and len(nodes) < max_nodes:
-        tn = min(t + dt, t1)
+    dt = 1.0 / init_steps
+    min_dt = 1.0 / (init_steps * 4096.0)
+    nodes: list[tuple[float, tuple[Pair, ...]]] = [(0.0, tuple(pairs))]
+    t = 0.0
+    while t < 1.0 - 1e-15 and len(nodes) < 4096:
+        tn = min(t + dt, 1.0)
         moved: list[Pair] = []
         for pair, target in zip(nodes[-1][1], targets(tn)):
-            cand = _step_pair(pair, target, tol, snap_angle, rng)
-            if cand is None or _pair_step(pair, cand) > max_step:
+            cand = _step_pair(pair, target, tol, rng)
+            if cand is None or step_between(pair, cand) > max_step:
                 break
             moved.append(cand)
         if len(moved) == len(pairs):
             nodes.append((tn, tuple(moved)))
             t = tn
-            dt = min(dt * 1.5, span / init_steps)
+            dt = min(dt * 1.5, 1.0 / init_steps)
         else:
             dt *= 0.5
             if dt < min_dt:
                 raise ContinuationError("continuation step underflow", t)
-    if t < t1 - 1e-15:
+    if t < 1.0 - 1e-15:
         raise ContinuationError("node budget exhausted", t)
     return nodes
 
@@ -507,7 +455,5 @@ def fiber_path(
     max_residual = max(
         commutator(*p).dist(c_path(t)) for t, p in zip(ts, pairs)
     )
-    max_step_seen = max(
-        (_pair_step(p, q) for p, q in zip(pairs, pairs[1:])), default=0.0
-    )
+    max_step_seen = max((step_between(p, q) for p, q in zip(pairs, pairs[1:])), default=0.0)
     return FiberPath(tuple(ts), tuple(pairs), max_residual, max_step_seen)

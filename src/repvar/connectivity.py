@@ -80,8 +80,8 @@ from .su2 import (
     contract_to_one,
     exp_axis_angle,
     geodesic,
-    geodesic_distance,
     geodesic_to_one,
+    step_between,
     step_count,
     torus_snap,
 )
@@ -122,12 +122,14 @@ CERT_FORMAT = "pathcert-1"
 
 _SYSTEM_IDS = {"fix": 0, "torus": 1, "surface": 2}
 
+_NODE_TOL = 1e-10  # construction target for projected nodes
+
+
 @dataclass(frozen=True)
 class PathConfig:
     """Budgets and bounds for path construction and acceptance."""
 
     residual_tol: float = 1e-7  # acceptance bound on per-point residuals
-    node_tol: float = 1e-10  # construction target for projected nodes
     max_step: float = 0.2  # per-coordinate geodesic step bound (radians)
     bisection_depth: int = 12
     projection_iters: int = 100
@@ -159,10 +161,6 @@ class PathCertificate:
 
 
 # -- small geometry helpers -------------------------------------------------
-
-def _rep_step(p: Rep, q: Rep) -> float:
-    return max(geodesic_distance(u, v) for u, v in zip(p.elements(), q.elements()))
-
 
 def _element(rep: Rep, name: str) -> SU2:
     """The named element of rep; "t" names T of a TorusRep."""
@@ -198,7 +196,7 @@ def _constant_angle_path(x: SU2, target_axis) -> tuple[Callable[[float], SU2], f
 def _dedupe(points: list[Rep]) -> list[Rep]:
     out = [points[0]]
     for p in points[1:]:
-        if _rep_step(out[-1], p) > 1e-14:
+        if step_between(out[-1].elements(), p.elements()) > 1e-14:
             out.append(p)
     return out
 
@@ -208,7 +206,8 @@ def _finish(
 ) -> PathCertificate:
     pts = _dedupe(points)
     max_residual = float(residual_array(pts, system, n).max())
-    max_step = max((_rep_step(p, q) for p, q in zip(pts, pts[1:])), default=0.0)
+    els = [p.elements() for p in pts]
+    max_step = max((step_between(p, q) for p, q in zip(els, els[1:])), default=0.0)
     if max_residual > cfg.residual_tol:
         raise PathError(
             f"constructed path violates residual bound: {max_residual:.3e}",
@@ -280,7 +279,7 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         if r > cert.max_residual + 1e-14:
             problems.append(f"point {i}: residual {r:.3e} above stated bound")
     for i, (p, q) in enumerate(zip(pts, pts[1:])):
-        s = _rep_step(p, q)
+        s = step_between(p.elements(), q.elements())
         if s > cert.max_step + 1e-12:
             problems.append(f"step {i}->{i + 1}: {s:.4f} above stated bound")
     if cert.system in ("fix", "torus"):
@@ -387,7 +386,7 @@ def _fiber_leg(
             (_element(rep, a), _element(rep, b)),
             end,
             c,
-            tol=cfg.node_tol,
+            tol=_NODE_TOL,
             max_step=cfg.max_step,
             depth=cfg.bisection_depth,
             rng=rng,
@@ -411,7 +410,7 @@ def _continuation(
             pairs,
             targets,
             init_steps=init_steps,
-            tol=cfg.node_tol,
+            tol=_NODE_TOL,
             max_step=cfg.max_step,
             rng=rng,
         )
@@ -563,10 +562,10 @@ def _fix_path_points(
     )
     y_target = x_snapped * a1_new.inverse()
     a3, b3, _, ok3 = project_pair_to_fiber(
-        current.a3, current.b3, y_target, tol=cfg.node_tol
+        current.a3, current.b3, y_target, tol=_NODE_TOL
     )
     a2, b2, _, ok2 = project_pair_to_fiber(
-        current.a2, current.b2, y_target.inverse(), tol=cfg.node_tol
+        current.a2, current.b2, y_target.inverse(), tol=_NODE_TOL
     )
     if not (ok3 and ok2):
         raise PathError("post-snap fiber polish failed", stage="snap")
@@ -754,7 +753,7 @@ def probe_path(
     def advance(a: Rep, b: Rep, frac: float) -> Rep:
         els = [geodesic(u, v, frac) for u, v in zip(a.elements(), b.elements())]
         proj = project_to_variety(
-            rebuild(els), n, system, tol=cfg.node_tol, max_iter=cfg.projection_iters
+            rebuild(els), n, system, tol=_NODE_TOL, max_iter=cfg.projection_iters
         )
         if not proj.converged:
             raise PathError("projection off the interpolant failed", stage="probe")
@@ -771,7 +770,8 @@ def probe_path(
     # budget of 2**bisection_depth, so a stuck walk fails fast.
     points: list[Rep] = [r0]
     budget = 2**cfg.bisection_depth
-    while (remaining := _rep_step(points[-1], r1)) > cfg.max_step:
+    end = r1.elements()
+    while (remaining := step_between(points[-1].elements(), end)) > cfg.max_step:
         current = points[-1]
         frac = min(1.0, 0.8 * cfg.max_step / remaining)
         for _ in range(cfg.bisection_depth):
@@ -783,8 +783,10 @@ def probe_path(
             except (PathError, ValueError):
                 frac *= 0.5
                 continue
-            step = _rep_step(current, nxt)
-            if step <= cfg.max_step and _rep_step(nxt, r1) < remaining - 0.25 * step:
+            step = step_between(current.elements(), nxt.elements())
+            if step <= cfg.max_step and (
+                step_between(nxt.elements(), end) < remaining - 0.25 * step
+            ):
                 points.append(nxt)
                 break
             frac *= 0.5

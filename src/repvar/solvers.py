@@ -24,6 +24,8 @@ __all__ = ["RefineResult", "refine_elements"]
 
 ResidualFn = Callable[[list[SU2]], np.ndarray]
 
+_FD_STEP = 1e-7  # tangent step of the forward-difference Jacobian
+
 
 @dataclass(frozen=True)
 class RefineResult:
@@ -45,7 +47,6 @@ def refine_elements(
     *,
     tol: float = 1e-11,
     max_iter: int = 100,
-    fd_step: float = 1e-7,
 ) -> RefineResult:
     """Drive the 2-norm of residual_fn below tol, starting from elements."""
     current = list(elements)
@@ -61,10 +62,10 @@ def refine_elements(
         for i in range(len(current)):
             for axis in range(3):
                 step = [0.0, 0.0, 0.0]
-                step[axis] = fd_step
+                step[axis] = _FD_STEP
                 bumped = list(current)
                 bumped[i] = exp_tangent(step) * current[i]
-                jac[:, 3 * i + axis] = (residual_fn(bumped) - r) / fd_step
+                jac[:, 3 * i + axis] = (residual_fn(bumped) - r) / _FD_STEP
         normal = jac.T @ jac
         gradient = jac.T @ r
         improved = False

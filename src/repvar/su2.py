@@ -32,6 +32,7 @@ __all__ = [
     "exp_tangent",
     "geodesic",
     "geodesic_distance",
+    "step_between",
     "haar_random",
     "align_conjugator",
     "AlignmentError",
@@ -251,6 +252,11 @@ def geodesic(u: SU2, v: SU2, t: float) -> SU2:
 def geodesic_distance(u: SU2, v: SU2) -> float:
     """Arc length between u and v on the unit 3-sphere, in [0, pi]."""
     return math.acos(_clamp(u.dot(v)))
+
+
+def step_between(us: Sequence[SU2], vs: Sequence[SU2]) -> float:
+    """Largest geodesic distance between paired elements of two tuples."""
+    return max(geodesic_distance(u, v) for u, v in zip(us, vs))
 
 
 def haar_random(rng: np.random.Generator) -> SU2:

@@ -134,6 +134,9 @@ def test_verify_cli(capsys):
         ("representative", "--n", "2", "--label", "central", "--format", "json"),
         ("probe", "a.json", "b.json", "--n", "2"),
         ("census", "--n", "1", "--samples", "0"),
+        ("census", "--n", "1", "--samples", "1", "--iters", "5"),
+        ("verify", "--n", "1", "--iters", "5"),
+        ("verify", "--n", "1", "--samples", "-1"),
     ],
 )
 def test_unread_flags_and_bad_samples_are_input_errors(argv, capsys):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -131,20 +133,66 @@ def test_snap_commuting_pair():
     assert a.dist(u) + b.dist(v) < 1e-3
 
 
-def test_connect_in_fiber_stays_in_fiber():
+def _assert_fiber_path(path, p0, p1, c):
+    assert path[0][0].dist(p0[0]) < 1e-12 and path[0][1].dist(p0[1]) < 1e-12
+    assert path[-1][0].dist(p1[0]) < 1e-12 and path[-1][1].dist(p1[1]) < 1e-12
+    for a, b in path:
+        assert commutator(a, b).dist(c) < 1e-9
+    for p, q in zip(path, path[1:]):
+        assert max(
+            geodesic_distance(p[0], q[0]), geodesic_distance(p[1], q[1])
+        ) <= 0.2 + 1e-12
+
+
+# `repvar.commutator` as a package attribute is the su2 function re-exported
+# by `repvar`, so the module is looked up by name
+COMMUTATOR = importlib.import_module("repvar.commutator")
+
+
+def _count_waypoint_draws(monkeypatch) -> list:
+    """Calls of sample_fiber made from inside the commutator module."""
+    draws = []
+    sample = COMMUTATOR.sample_fiber
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(COMMUTATOR, "sample_fiber", counted)
+    return draws
+
+
+def test_connect_in_fiber_stays_in_fiber(monkeypatch):
+    draws = _count_waypoint_draws(monkeypatch)
     rng = np.random.default_rng(6)
     for c in (haar_random(rng), MINUS_ONE):
         p0 = sample_fiber(c, rng)
         p1 = sample_fiber(c, rng)
         path = connect_in_fiber(p0, p1, c, tol=1e-10, max_step=0.2, rng=rng)
-        assert path[0][0].dist(p0[0]) < 1e-12 and path[0][1].dist(p0[1]) < 1e-12
-        assert path[-1][0].dist(p1[0]) < 1e-12 and path[-1][1].dist(p1[1]) < 1e-12
-        for a, b in path:
-            assert commutator(a, b).dist(c) < 1e-9
-        for p, q in zip(path, path[1:]):
-            assert max(
-                geodesic_distance(p[0], q[0]), geodesic_distance(p[1], q[1])
-            ) <= 0.2 + 1e-12
+        _assert_fiber_path(path, p0, p1, c)
+    # the direct bisection succeeds, so no fallback waypoint is drawn
+    assert draws == []
+
+
+def test_connect_in_fiber_falls_back_to_one_waypoint(monkeypatch):
+    rng = np.random.default_rng(6)
+    c = haar_random(rng)
+    p0, p1 = sample_fiber(c, rng), sample_fiber(c, rng)
+    bisect = COMMUTATOR._bisect_in_fiber
+    refused = []
+
+    def refuse_direct_leg(left, right, *args, **kwargs):
+        if left is p0 and right is p1 and not refused:
+            refused.append((left, right))
+            raise COMMUTATOR.FiberConnectError("direct leg refused")
+        return bisect(left, right, *args, **kwargs)
+
+    monkeypatch.setattr(COMMUTATOR, "_bisect_in_fiber", refuse_direct_leg)
+    draws = _count_waypoint_draws(monkeypatch)
+    path = connect_in_fiber(p0, p1, c, tol=1e-10, max_step=0.2, rng=rng)
+    assert len(refused) == 1
+    assert len(draws) == 1
+    _assert_fiber_path(path, p0, p1, c)
 
 
 def test_continue_fiber_two_pairs_snap_at_identity():
