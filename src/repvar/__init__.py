@@ -7,7 +7,6 @@ certificates.
 """
 
 from .commutator import (
-    fiber_path,
     fricke_trace,
     sample_fiber,
     solve_commutator,

@@ -11,7 +11,7 @@ with tr(A) = tr(B) = tr(AB) = 0.  This module provides:
   (project_pair_to_fiber), the inner loop of all path tracking;
 * exact randomizing moves inside a fiber (randomize_in_fiber);
 * within-fiber path search (connect_in_fiber) and moving-fiber
-  continuation (continue_fiber, fiber_path).
+  continuation (continue_fiber).
 
 Trace identity used as the algebraic oracle throughout:
 tr([A, B]) = tr(A)^2 + tr(B)^2 + tr(AB)^2 - tr(A) tr(B) tr(AB) - 2.
@@ -20,7 +20,6 @@ tr([A, B]) = tr(A)^2 + tr(B)^2 + tr(AB)^2 - tr(A) tr(B) tr(AB) - 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,12 +47,9 @@ __all__ = [
     "project_pair_to_fiber",
     "sample_fiber",
     "randomize_in_fiber",
-    "random_centralizer_element",
     "snap_commuting_pair",
     "connect_in_fiber",
     "continue_fiber",
-    "fiber_path",
-    "FiberPath",
     "ProjectionError",
     "ContinuationError",
     "FiberConnectError",
@@ -186,7 +182,7 @@ def project_pair_to_fiber(
     return a, b, best, best <= tol
 
 
-def random_centralizer_element(u: SU2, rng: np.random.Generator) -> SU2:
+def _random_centralizer_element(u: SU2, rng: np.random.Generator) -> SU2:
     """A random element commuting with u (Haar when u is central)."""
     if u.is_central(1e-12):
         return haar_random(rng)
@@ -204,9 +200,9 @@ def randomize_in_fiber(a: SU2, b: SU2, rng: np.random.Generator) -> Pair:
     """
     c = commutator(a, b)
     for _ in range(2):
-        b = b * random_centralizer_element(a, rng)
-        a = a * random_centralizer_element(b, rng)
-        g = random_centralizer_element(c, rng)
+        b = b * _random_centralizer_element(a, rng)
+        a = a * _random_centralizer_element(b, rng)
+        g = _random_centralizer_element(c, rng)
         a = a.conjugate_by(g)
         b = b.conjugate_by(g)
     return a, b
@@ -411,49 +407,3 @@ def continue_fiber(
     if t < 1.0 - 1e-15:
         raise ContinuationError("node budget exhausted", t)
     return nodes
-
-
-@dataclass(frozen=True)
-class FiberPath:
-    """A discrete path of pairs tracking a moving commutator target."""
-
-    ts: tuple[float, ...]
-    pairs: tuple[Pair, ...]
-    max_residual: float
-    max_step: float
-
-
-def fiber_path(
-    a0: SU2,
-    b0: SU2,
-    a1: SU2,
-    b1: SU2,
-    c_path: Callable[[float], SU2],
-    steps: int = 64,
-    tol: float = 1e-9,
-) -> FiberPath:
-    """Path (A(t), B(t)) with [A(t), B(t)] = c_path(t) and fixed endpoints.
-
-    The pair is continued from (a0, b0) along the moving fiber; endpoint
-    matching is a final within-fiber leg inside the fiber of c_path(1).
-    Both endpoints must sit on their fibers within tol.
-    """
-    for name, pair, t in (("start", (a0, b0), 0.0), ("end", (a1, b1), 1.0)):
-        gap = commutator(*pair).dist(c_path(t))
-        if gap > tol:
-            raise ValueError(f"{name} pair off its fiber by {gap:.3e} (tol {tol:.1e})")
-    inner = min(tol * 1e-2, 1e-11)
-    marched = continue_fiber(
-        ((a0, b0),), lambda t: (c_path(t),), init_steps=steps, tol=inner, max_step=0.2
-    )
-    ts = [t for t, _ in marched]
-    pairs = [p for _, (p,) in marched]
-    c_end = c_path(1.0)
-    tail = connect_in_fiber(pairs[-1], (a1, b1), c_end, tol=inner, max_step=0.2)
-    pairs += tail[1:]
-    ts += [1.0] * (len(tail) - 1)
-    max_residual = max(
-        commutator(*p).dist(c_path(t)) for t, p in zip(ts, pairs)
-    )
-    max_step_seen = max((step_between(p, q) for p, q in zip(pairs, pairs[1:])), default=0.0)
-    return FiberPath(tuple(ts), tuple(pairs), max_residual, max_step_seen)

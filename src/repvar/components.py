@@ -51,6 +51,7 @@ __all__ = [
     "CENTRAL",
     "TORUS_CENTRAL",
     "Unclassifiable",
+    "ResidualError",
     "count_fix",
     "count_fix_char",
     "count_torus",
@@ -83,6 +84,10 @@ ROUND_TOL = 0.05
 
 class Unclassifiable(ValueError):
     """The point cannot be assigned a component label at this precision."""
+
+
+class ResidualError(ValueError):
+    """The point's residual exceeds the tolerance: it is off the variety."""
 
 
 @dataclass(frozen=True, order=True)
@@ -259,7 +264,7 @@ def quantized_index(theta: float, m: int, sigma: int, what: str) -> int:
 def classify_fix(rep: SurfaceRep, n: int, tol: float = 1e-9) -> ComponentLabel:
     """Component label of a point of the fixed-point set.
 
-    Raises ValueError when the residual precondition fails and
+    Raises ResidualError when the residual precondition fails and
     Unclassifiable when centrality or index rounding is ambiguous.
     """
     res = fixed_point_residual(rep, abs(n)).max if n else 0.0
@@ -272,7 +277,7 @@ def read_fix_label(rep: SurfaceRep, n: int, residual: float, tol: float) -> Comp
     if m == 0:
         return CENTRAL
     if residual > tol:
-        raise ValueError(f"fixed-point residual {residual:.3e} exceeds tol {tol:.1e}")
+        raise ResidualError(f"fixed-point residual {residual:.3e} exceeds tol {tol:.1e}")
     a1n = rep.a1.power(m)
     gap, sigma = central_gap(a1n)
     if gap > REFUSE_BAND:
@@ -308,7 +313,7 @@ def read_torus_label(
     """classify_torus given the torus residual of the point and the
     fixed-point residual of its surface part at |n|, evaluated elsewhere."""
     if residual > tol:
-        raise ValueError(f"torus residual {residual:.3e} exceeds tol {tol:.1e}")
+        raise ResidualError(f"torus residual {residual:.3e} exceeds tol {tol:.1e}")
     if abs(n) == 0:
         return TORUS_CENTRAL
     gap, epsilon = central_gap(trep.t)

@@ -41,6 +41,7 @@ import numpy as np
 from .commutator import (
     ContinuationError,
     FiberConnectError,
+    ProjectionError,
     connect_in_fiber,
     continue_fiber,
     project_pair_to_fiber,
@@ -51,6 +52,7 @@ from .components import (
     SNAP_BAND,
     TORUS_CENTRAL,
     ComponentLabel,
+    ResidualError,
     Unclassifiable,
     canonical_representative,
     canonical_torus_representative,
@@ -72,6 +74,7 @@ from .su2 import (
     MINUS_ONE,
     ONE,
     SU2,
+    AlignmentError,
     align_conjugator,
     axis_rotation,
     central_gap,
@@ -882,6 +885,11 @@ class CensusReport:
         }
 
 
+# A census sample's own failures (ContinuationError and FiberConnectError
+# arrive as PathError); anything else, say a math domain error, is a bug.
+_SAMPLE_FAILURES = (PathError, ProjectionError, AlignmentError, Unclassifiable, ResidualError)
+
+
 def census(
     n: int,
     system: str,
@@ -926,7 +934,7 @@ def census(
                 else:
                     rep = randomized_torus_representative(n, label, rng)
                     got = classify_torus(rep, n, cfg.residual_tol).text()
-            except (ValueError, RuntimeError):
+            except _SAMPLE_FAILURES:
                 unresolved += 1
                 continue
             classified += 1
@@ -938,7 +946,7 @@ def census(
                     cert = canonical_path(rep, n, cfg, rng)
                 else:
                     cert = canonical_torus_path(rep, n, cfg, rng)
-            except (ValueError, RuntimeError):
+            except _SAMPLE_FAILURES:
                 unresolved += 1
                 continue
             if not verify_certificate(cert).ok:

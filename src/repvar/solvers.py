@@ -1,14 +1,14 @@
 """Damped least-squares refinement for tuples of group elements.
 
 The engine minimizes a caller-supplied residual over products of unit
-quaternions.  Updates are tangent steps applied by left multiplication with
-exp of a pure quaternion, followed by renormalization (the retraction).
-Steps come from a Levenberg-Marquardt solve: the damping grows whenever a
-step fails to reduce the residual, which also regularizes the gauge
-directions these systems always carry (simultaneous conjugation moves no
-residual).  Jacobians are finite-difference: the residual dimensions are
-tiny and the residual itself is evaluated exactly, so the approximate
-Jacobian only affects the step direction, not the achievable accuracy.
+quaternions, given its exact Jacobian in left tangent coordinates (column
+3i + a moves element i by the a-th imaginary unit).  Updates are tangent
+steps applied by left multiplication with exp of a pure quaternion, then
+renormalization (the retraction).  Levenberg-Marquardt damping grows when
+a step fails to reduce the residual.  The damped step is solved in the
+Jacobian's SVD basis without its near-null directions (the solution set's
+own tangents, gauge included), so it is the minimum-norm step and rounding
+in the residual does not push it along them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ __all__ = ["RefineResult", "refine_elements"]
 
 ResidualFn = Callable[[list[SU2]], np.ndarray]
 
-_FD_STEP = 1e-7  # tangent step of the forward-difference Jacobian
+# At the start of probe's projections every singular value lies above
+# 6e-7 s_max or, an exact null direction up to rounding, below 2e-13 s_max.
+_RANK_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,17 @@ def _retract(elements: list[SU2], delta: np.ndarray) -> list[SU2]:
 def refine_elements(
     elements: Sequence[SU2],
     residual_fn: ResidualFn,
+    jacobian_fn: ResidualFn,
     *,
     tol: float = 1e-11,
     max_iter: int = 100,
 ) -> RefineResult:
-    """Drive the 2-norm of residual_fn below tol, starting from elements."""
+    """Drive the 2-norm of residual_fn below tol, starting from elements.
+
+    jacobian_fn(elements) is the (len(residual), 3 * len(elements))
+    derivative of residual_fn along the left tangent directions.
+    """
     current = list(elements)
-    dim = 3 * len(current)
     r = np.asarray(residual_fn(current), dtype=float)
     best = float(np.linalg.norm(r))
     lam = 1e-4
@@ -58,23 +64,12 @@ def refine_elements(
     for iterations in range(1, max_iter + 1):
         if best <= tol:
             break
-        jac = np.empty((r.shape[0], dim))
-        for i in range(len(current)):
-            for axis in range(3):
-                step = [0.0, 0.0, 0.0]
-                step[axis] = _FD_STEP
-                bumped = list(current)
-                bumped[i] = exp_tangent(step) * current[i]
-                jac[:, 3 * i + axis] = (residual_fn(bumped) - r) / _FD_STEP
-        normal = jac.T @ jac
-        gradient = jac.T @ r
+        u, s, vt = np.linalg.svd(jacobian_fn(current), full_matrices=False)
+        keep = s > _RANK_CUTOFF * s[0]
+        s, vt, ur = s[keep], vt[keep], u[:, keep].T @ r
         improved = False
         for _ in range(16):
-            try:
-                delta = np.linalg.solve(normal + lam * np.eye(dim), -gradient)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
+            delta = -vt.T @ (s / (s * s + lam) * ur)
             candidate = _retract(current, delta)
             rc = np.asarray(residual_fn(candidate), dtype=float)
             nc = float(np.linalg.norm(rc))

@@ -159,13 +159,44 @@ def derived_x(rep: SurfaceRep) -> SU2:
 # -- the equation tables -------------------------------------------------------
 #
 # Each system is written once, as (tag, lhs, rhs) terms over quaternion
-# 4-tuples of floats (one point) or numpy (N,) arrays (N points), with
-# `ops` = (sqrt, atan2, sin, cos, where) to match.  The residual report,
-# the least-squares vector and the batched residual array all read them.
+# 4-tuples of floats (one point), numpy (N,) arrays (N points) or complex
+# arrays (complex steps), with `ops` = (sqrt, atan2, sin, cos, where, power)
+# to match; the complex atan2 carries (x dy - y dx) / (x^2 + y^2) as its
+# imaginary part, and `w > 0.0` orders complex values by real part first.
+# The residual report, least-squares vector, Jacobian and array read them.
 
-_FLOAT_OPS = (math.sqrt, math.atan2, math.sin, math.cos, lambda c, a, b: a if c else b)
-_ARRAY_OPS = (np.sqrt, np.arctan2, np.sin, np.cos, np.where)
+
+def _complex_atan2(y, x):
+    yr, xr = y.real, x.real
+    return np.arctan2(yr, xr) + 1j * (xr * y.imag - yr * x.imag) / (xr * xr + yr * yr)
+
+
+def _qpow(a, k: int, ops):
+    """a^k by exact angle scaling, as SU2.power; central a gives exactly +-1."""
+    sqrt, atan2, sin, cos, where, _ = ops
+    w, x, y, z = a
+    vn = sqrt(x * x + y * y + z * z)
+    central = vn == 0.0
+    kt = k * atan2(vn, w)
+    s = sin(kt) / where(central, 1.0, vn)
+    sign = 1.0 if k % 2 == 0 else where(w > 0.0, 1.0, -1.0)
+    return (where(central, sign, cos(kt)), s * x, s * y, s * z)
+
+
+def _qpow_from_nearer_pole(a, k: int, ops):
+    """_qpow for complex steps, as p^k (p a)^k with p = sign(w): near -1 the
+    angle rounds to pi, losing vn and with it the derivative of sin(kt) / vn."""
+    p = np.where(a[0].real < 0.0, -1.0, 1.0)
+    power = _qpow(tuple(p * c for c in a), k, ops)
+    return power if k % 2 == 0 else tuple(p * c for c in power)
+
+
+_FLOAT_OPS = (math.sqrt, math.atan2, math.sin, math.cos, lambda c, a, b: a if c else b, _qpow)
+_ARRAY_OPS = (np.sqrt, np.arctan2, np.sin, np.cos, np.where, _qpow)
+_COMPLEX_OPS = (np.sqrt, _complex_atan2, np.sin, np.cos, np.where, _qpow_from_nearer_pole)
 _ONE_Q = (1.0, 0.0, 0.0, 0.0)
+
+_STEP = 1e-30  # f(x + i h v) = f(x) + i h f'(x) v + O(h^2): no cancellation
 
 # below this many points a batch is cheaper point by point on floats
 _BATCH_MIN = 8
@@ -180,18 +211,6 @@ def _qcomm(a, b):
     return qmul(qmul(qmul(a, b), _qinv(a)), _qinv(b))
 
 
-def _qpow(a, k: int, ops):
-    """a^k by exact angle scaling, as SU2.power; central a gives exactly +-1."""
-    sqrt, atan2, sin, cos, where = ops
-    w, x, y, z = a
-    vn = sqrt(x * x + y * y + z * z)
-    central = vn == 0.0
-    kt = k * atan2(vn, w)
-    s = sin(kt) / where(central, 1.0, vn)
-    sign = 1.0 if k % 2 == 0 else where(w > 0.0, 1.0, -1.0)
-    return (where(central, sign, cos(kt)), s * x, s * y, s * z)
-
-
 def _relator(a1, b1, a2, b2, a3, b3):
     """[A1,B1][A2,B2][A3,B3], together with its last factor [A3,B3]."""
     c3 = _qcomm(a3, b3)
@@ -201,11 +220,12 @@ def _relator(a1, b1, a2, b2, a3, b3):
 def _fix_terms(q, n: int, ops):
     a1, b1, a2, b2, a3, b3 = q
     rel, c3 = _relator(*q)
-    xn = _qpow(qmul(c3, a1), n, ops)
+    power = ops[5]
+    xn = power(qmul(c3, a1), n, ops)
     return (
         ("relator", rel, _ONE_Q),
         ("a1", qmul(xn, a1), qmul(a1, xn)),
-        ("b1", _qpow(a1, n, ops), xn),
+        ("b1", power(a1, n, ops), xn),
         ("a3", qmul(xn, a3), qmul(a3, xn)),
         ("b3", qmul(xn, b3), qmul(b3, xn)),
     )
@@ -214,13 +234,14 @@ def _fix_terms(q, n: int, ops):
 def _torus_terms(q, n: int, ops):
     t, a1, b1, a2, b2, a3, b3 = q
     rel, c3 = _relator(*q[1:])
-    xn = _qpow(qmul(c3, a1), n, ops)
+    power = ops[5]
+    xn = power(qmul(c3, a1), n, ops)
     txn = qmul(t, xn)
     b1_lhs = qmul(qmul(qmul(_qinv(b1), _qinv(t)), b1), t)
     return (
         ("relator", rel, _ONE_Q),
         ("a1", qmul(a1, txn), qmul(txn, a1)),
-        ("b1", b1_lhs, qmul(_qpow(a1, n, ops), _qinv(xn))),
+        ("b1", b1_lhs, qmul(power(a1, n, ops), _qinv(xn))),
         ("a2", qmul(a2, t), qmul(t, a2)),
         ("b2", qmul(b2, t), qmul(t, b2)),
         ("a3", qmul(a3, txn), qmul(txn, a3)),
@@ -321,6 +342,24 @@ def _signed_residual(elements: Sequence[SU2], system: str, n: int) -> np.ndarray
     return np.array([u - v for _, lhs, rhs in terms for u, v in zip(lhs, rhs)])
 
 
+def _tangent_steps(elements: Sequence[SU2]) -> np.ndarray:
+    """Shape (k, 4, 3k): in column 3i + a, element i is el + i h (e_a el), e_a
+    the a-th imaginary unit; `moved` writes out e_a el (qmul costs 6x as much)."""
+    q = np.array([el.to_list() for el in elements])
+    w, x, y, z = q.T
+    k = len(q)
+    steps = np.zeros((k, 4, k, 3), dtype=complex)
+    moved = np.array([[-x, w, -z, y], [-y, z, w, -x], [-z, -y, x, w]]).T
+    steps[range(k), :, range(k)] = 1j * _STEP * moved
+    return q[:, :, None] + steps.reshape(k, 4, 3 * k)
+
+
+def _signed_jacobian(elements: Sequence[SU2], system: str, n: int) -> np.ndarray:
+    # d _signed_residual / d tangent: one complex table run over all 3k directions
+    terms = _TABLES[system](_tangent_steps(elements), n, _COMPLEX_OPS)
+    return np.array([(u - v).imag for _, lhs, rhs in terms for u, v in zip(lhs, rhs)]) / _STEP
+
+
 def project_to_variety(
     start: Rep,
     n: int,
@@ -340,6 +379,7 @@ def project_to_variety(
     result = refine_elements(
         start.elements(),
         lambda elements: _signed_residual(elements, system, n),
+        lambda elements: _signed_jacobian(elements, system, n),
         tol=min(tol * 1e-2, 1e-11),
         max_iter=max_iter,
     )
@@ -372,22 +412,22 @@ def solve_intertwiner(rep: SurfaceRep, n: int, tol: float = 1e-9) -> Intertwiner
         raise ValueError(f"surface residual {pre:.3e} exceeds tol {tol:.1e}")
     images = rep.images()
     sub = phi_substitution(n)
-    pullback = [evaluate(sub.image(g), images) for g in SURFACE_GENERATORS]
-    originals = [images[g] for g in SURFACE_GENERATORS]
+    pullback = [evaluate(sub.image(g), images).to_list() for g in SURFACE_GENERATORS]
+    originals = [el.to_list() for el in rep.elements()]
 
-    def residual_fn(elements: list[SU2]) -> np.ndarray:
-        t = elements[0]
-        ti = t.inverse()
-        out: list[float] = []
-        for lhs, rho in zip(pullback, originals):
-            rhs = ti * rho * t
-            out += [lhs.w - rhs.w, lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z]
-        return np.array(out)
+    def gaps(t) -> np.ndarray:
+        # pullback - T^-1 rho T per generator, for a quaternion 4-tuple t
+        conj = [qmul(qmul(_qinv(t), rho), t) for rho in originals]
+        return np.array([u - v for lhs, rhs in zip(pullback, conj) for u, v in zip(lhs, rhs)])
 
     best: IntertwinerResult | None = None
     for start in (ONE, MINUS_ONE, SU2(0, 1, 0, 0), SU2(0, 0, 1, 0), SU2(0, 0, 0, 1)):
         result = refine_elements(
-            [start], residual_fn, tol=min(tol * 1e-2, 1e-11), max_iter=60
+            [start],
+            lambda elements: gaps(elements[0].to_list()),
+            lambda elements: gaps(_tangent_steps(elements)[0]).imag / _STEP,
+            tol=min(tol * 1e-2, 1e-11),
+            max_iter=60,
         )
         if best is None or result.residual < best.gap:
             best = IntertwinerResult(result.elements[0], result.residual, False)

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repvar.commutator import (
-    FiberPath,
     continue_fiber,
-    fiber_path,
     fricke_trace,
     project_pair_to_fiber,
     randomize_in_fiber,
@@ -220,48 +218,3 @@ def test_continue_fiber_two_pairs_snap_at_identity():
             assert max(geodesic_distance(a0, a1), geodesic_distance(b0, b1)) <= 0.2
     # the pairs snap once the target reaches 1
     assert all(commutator(a, b).dist(ONE) < 1e-14 for a, b in nodes[-1][1])
-
-
-def test_fiber_path_constant_identity():
-    fp = fiber_path(ONE, ONE, ONE, ONE, lambda t: ONE, steps=8, tol=1e-9)
-    assert isinstance(fp, FiberPath)
-    assert fp.max_residual < 1e-12
-    for a, b in fp.pairs:
-        assert a.dist(ONE) < 1e-12 and b.dist(ONE) < 1e-12
-
-
-def test_fiber_path_constant_minus_one():
-    rng = np.random.default_rng(7)
-    a0, b0 = sample_fiber(MINUS_ONE, rng)
-    a1, b1 = sample_fiber(MINUS_ONE, rng)
-    fp = fiber_path(a0, b0, a1, b1, lambda t: MINUS_ONE, steps=16, tol=1e-9)
-    assert fp.max_residual < 1e-9
-    assert fp.max_step <= 0.2 + 1e-12
-    assert fp.pairs[-1][0].dist(a1) < 1e-12
-    assert fp.pairs[-1][1].dist(b1) < 1e-12
-    assert len(fp.pairs) <= 100
-
-
-def test_fiber_path_trace_monotone_to_identity():
-    rng = np.random.default_rng(8)
-    a, b = haar_random(rng), haar_random(rng)
-    c0 = commutator(a, b)
-    axis = c0.axis()
-    theta = c0.angle()
-
-    def c_path(t):
-        return exp_axis_angle(axis, theta * (1.0 - t))
-
-    end = (exp_axis_angle(E1, 0.4), exp_axis_angle(E1, 1.3))
-    fp = fiber_path(a, b, end[0], end[1], c_path, steps=32, tol=3e-6)
-    assert fp.max_residual < 3e-6
-    # re-verify every node against its own target
-    for t, (p, q) in zip(fp.ts, fp.pairs):
-        assert commutator(p, q).dist(c_path(t)) <= fp.max_residual + 1e-14
-
-
-def test_fiber_path_rejects_bad_endpoints():
-    rng = np.random.default_rng(9)
-    a, b = haar_random(rng), haar_random(rng)
-    with pytest.raises(ValueError):
-        fiber_path(a, b, a, b, lambda t: MINUS_ONE, steps=8, tol=1e-10)

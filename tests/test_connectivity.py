@@ -7,10 +7,13 @@ import pytest
 
 from repvar.components import (
     ComponentLabel,
+    ResidualError,
     TorusLabel,
+    Unclassifiable,
     canonical_representative,
     canonical_torus_representative,
     enumerate_fix_labels,
+    enumerate_torus_labels,
     random_extended_fixed_sample,
     randomized_representative,
     randomized_torus_representative,
@@ -29,8 +32,17 @@ from repvar.connectivity import (
     verify_certificate,
 )
 from repvar import connectivity, varieties
-from repvar.commutator import sample_fiber, solve_commutator
-from repvar.su2 import MINUS_ONE, ONE, SU2, commutator, exp_axis_angle, haar_random
+from repvar.commutator import ProjectionError, sample_fiber, solve_commutator
+from repvar.su2 import (
+    MINUS_ONE,
+    ONE,
+    SU2,
+    AlignmentError,
+    commutator,
+    exp_axis_angle,
+    haar_random,
+    random_axis,
+)
 from repvar.varieties import (
     SurfaceRep,
     TorusRep,
@@ -283,6 +295,32 @@ def test_census_path_classes_count_unpathed_samples(monkeypatch):
     assert report.path_classes == len(report.rows) + unpathed
 
 
+@pytest.mark.parametrize(
+    "error, counted",
+    [
+        (connectivity.PathError("refused for the test", stage="test"), True),
+        (ProjectionError("refused for the test"), True),
+        (AlignmentError("refused for the test"), True),
+        (Unclassifiable("refused for the test"), True),
+        (ResidualError("refused for the test"), True),
+        (TypeError("a programming error"), False),
+        (ValueError("math domain error"), False),
+        (RuntimeError("a programming error"), False),
+    ],
+)
+def test_census_counts_sample_failures_and_raises_bugs(monkeypatch, error, counted):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(connectivity, "canonical_path", failing)
+    if counted:
+        report = census(2, "fix", 1, 0, CFG)
+        assert report.unresolved_samples == len(report.rows) == 3
+    else:
+        with pytest.raises(type(error)):
+            census(2, "fix", 1, 0, CFG)
+
+
 def test_census_determinism():
     a = census(2, "fix", 4, 7, CFG).to_dict()
     b = census(2, "fix", 4, 7, CFG).to_dict()
@@ -317,6 +355,37 @@ def test_probe_budget_counts_every_projection(monkeypatch):
             probe_path(r0, r1, "fix", 3, PathConfig(bisection_depth=depth))
         assert err.value.stage == "probe"
         assert 0 < len(calls) <= 2**depth
+
+
+def test_probe_points_stable_under_last_bit_residual_changes(monkeypatch):
+    # the projection steps by the minimum-norm solution, which leaves the
+    # variety's own tangent directions (the Jacobian's null space) alone;
+    # solving the damped normal equations instead moves these points by
+    # 1e-13 to 8e-12 when the residual's last bit changes
+    rng = np.random.default_rng(0)
+    pairs = []
+    for system, n in (("fix", 4), ("fix", -3), ("torus", 4), ("torus", -5)):
+        if system == "fix":
+            labels = [lab for lab in enumerate_fix_labels(n) if not lab.is_central]
+            sample = randomized_representative
+        else:
+            labels = [lab for lab in enumerate_torus_labels(n) if not lab.is_central]
+            sample = randomized_torus_representative
+        for _ in range(3):
+            r0 = sample(n, labels[int(rng.integers(len(labels)))], rng)
+            g = exp_axis_angle(random_axis(rng), 0.2)
+            pairs.append((system, n, r0, r0.conjugate(g)))
+    before = [probe_path(r0, r1, system, n) for system, n, r0, r1 in pairs]
+    signed = varieties._signed_residual
+    monkeypatch.setattr(
+        varieties,
+        "_signed_residual",
+        lambda els, system, n: np.nextafter(signed(els, system, n), np.inf),
+    )
+    after = [probe_path(r0, r1, system, n) for system, n, r0, r1 in pairs]
+    for a, b in zip(before, after):
+        assert len(a.points) == len(b.points) > 2
+        assert max(p.dist(q) for p, q in zip(a.points, b.points)) <= 1e-13
 
 
 def _edge_cases(rng):

@@ -38,6 +38,8 @@ from repvar.varieties import (
     surface_residual,
     torus_residual,
     trivial_rep,
+    _signed_jacobian,
+    _signed_residual,
 )
 from repvar.words import SURFACE_GENERATORS, evaluate, phi_substitution, relator
 
@@ -169,6 +171,51 @@ def test_tables_match_word_level_pullback():
                 assert abs(table[tag] - gap) <= 1e-11, (n, tag)
             checked += 1
     assert checked > 100
+
+
+def _central_difference_jacobian(elements, system, n, h=1e-6):
+    cols = []
+    for i, el in enumerate(elements):
+        for axis in range(3):
+            step = [0.0, 0.0, 0.0]
+            step[axis] = h
+            plus = [*elements[:i], exp_tangent(step) * el, *elements[i + 1 :]]
+            step[axis] = -h
+            minus = [*elements[:i], exp_tangent(step) * el, *elements[i + 1 :]]
+            diff = _signed_residual(plus, system, n) - _signed_residual(minus, system, n)
+            cols.append(diff / (2 * h))
+    return np.array(cols).T
+
+
+def test_table_jacobian_matches_central_differences():
+    # the complex-step Jacobian is exact to rounding; central differences
+    # agree to their own O(h^2 n^3) error (a few 1e-9 here), while a
+    # forward difference with a 1e-7 step is off by 7e-7 and more
+    rng = np.random.default_rng(5)
+    i, j = SU2(0, 1, 0, 0), SU2(0, 0, 1, 0)
+    # within rounding of -1, where the angle atan2(|v|, w) rounds to pi
+    near_minus_one = SU2(-1.0, 3e-17, -2e-17, 1e-17)
+    for n in (*range(-4, 5), 8):
+        fix_points = [randomized_representative(n, lab, rng) for lab in enumerate_fix_labels(n)[:4]]
+        for a1 in (ONE, MINUS_ONE, near_minus_one):
+            a2, b2 = haar_random(rng), haar_random(rng)
+            a3, b3 = solve_commutator(commutator(a2, b2).inverse())
+            fix_points.append(SurfaceRep(a1, haar_random(rng), a2, b2, a3, b3))
+            # X = [A3, B3] A1 = -A1 is central
+            fix_points.append(SurfaceRep(a1, haar_random(rng), i, j, i, j))
+        torus_points = [
+            randomized_torus_representative(n, lab, rng) for lab in enumerate_torus_labels(n)[:4]
+        ]
+        torus_points += [TorusRep(t, rep) for t in (ONE, MINUS_ONE) for rep in fix_points[-6:]]
+        for system, points in (("fix", fix_points), ("torus", torus_points)):
+            for rep in points:
+                on = list(rep.elements())
+                off = [exp_tangent(0.05 * rng.standard_normal(3) / math.sqrt(3)) * el for el in on]
+                for els in (on, off):
+                    exact = _signed_jacobian(els, system, n)
+                    assert exact.shape == (4 * (7 if system == "torus" else 5), 3 * len(els))
+                    reference = _central_difference_jacobian(els, system, n)
+                    assert np.max(np.abs(exact - reference)) <= 1e-7, (system, n)
 
 
 def test_random_surface_rep_statistics():
