@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from .commutator import FiberConnectError
 from .components import (
     ComponentLabel,
     TorusLabel,
@@ -214,7 +213,7 @@ def cmd_probe(args) -> int:
     except LabelMismatchError as exc:
         print(f"label mismatch: {exc}", file=sys.stderr)
         return VERIFY_FAILED
-    except (PathError, FiberConnectError, Unclassifiable, ValueError) as exc:
+    except (PathError, Unclassifiable, ValueError) as exc:
         print(f"probe failed: {exc}", file=sys.stderr)
         return VERIFY_FAILED
     check = verify_certificate(cert)

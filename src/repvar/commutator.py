@@ -11,7 +11,8 @@ with tr(A) = tr(B) = tr(AB) = 0.  This module provides:
   (project_pair_to_fiber), the inner loop of all path tracking;
 * exact randomizing moves inside a fiber (randomize_in_fiber);
 * within-fiber path search (connect_in_fiber) and moving-fiber
-  continuation (continue_fiber).
+  continuation (continue_fiber).  Both are deterministic: they draw no
+  random numbers, so a path is a pure function of its inputs.
 
 Trace identity used as the algebraic oracle throughout:
 tr([A, B]) = tr(A)^2 + tr(B)^2 + tr(AB)^2 - tr(A) tr(B) tr(AB) - 2.
@@ -208,8 +209,8 @@ def randomize_in_fiber(a: SU2, b: SU2, rng: np.random.Generator) -> Pair:
     return a, b
 
 
-def sample_fiber(c: SU2, rng: np.random.Generator, tol: float = 1e-12) -> Pair:
-    """A random pair with [A, B] = c within tol.
+def sample_fiber(c: SU2, rng: np.random.Generator) -> Pair:
+    """A random pair with [A, B] = c within 1e-12.
 
     Haar random start followed by Newton projection (100 iterations, up to
     8 restarts); for c at the identity the fiber is the commuting pairs,
@@ -224,7 +225,7 @@ def sample_fiber(c: SU2, rng: np.random.Generator, tol: float = 1e-12) -> Pair:
         )
     for _ in range(8):
         a, b, res, ok = project_pair_to_fiber(
-            haar_random(rng), haar_random(rng), c, tol=tol, max_iter=100
+            haar_random(rng), haar_random(rng), c, max_iter=100
         )
         if ok:
             return a, b
@@ -253,11 +254,6 @@ def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
 # A target this close to 1 counts as 1: pairs are snapped onto the
 # commuting stratum instead of projected onto a singular fiber.
 _SNAP_ANGLE = 1e-6
-
-
-def _project_or_none(pair: Pair, c: SU2, tol: float) -> Pair | None:
-    a, b, _, ok = project_pair_to_fiber(pair[0], pair[1], c, tol=tol)
-    return (a, b) if ok else None
 
 
 def _commuting_stratum_route(p0: Pair, p1: Pair, max_step: float) -> list[Pair]:
@@ -296,15 +292,16 @@ def _bisect_in_fiber(
     if depth <= 0:
         raise FiberConnectError("bisection depth exhausted")
     try:
-        mid = (geodesic(left[0], right[0], 0.5), geodesic(left[1], right[1], 0.5))
+        mid_a = geodesic(left[0], right[0], 0.5)
+        mid_b = geodesic(left[1], right[1], 0.5)
     except ValueError as exc:  # antipodal coordinate
         raise FiberConnectError(str(exc))
-    projected = _project_or_none(mid, c, tol)
-    if projected is None:
+    a, b, _, ok = project_pair_to_fiber(mid_a, mid_b, c, tol=tol)
+    if not ok:
         raise FiberConnectError("midpoint projection failed")
-    a = _bisect_in_fiber(left, projected, c, tol=tol, max_step=max_step, depth=depth - 1)
-    b = _bisect_in_fiber(projected, right, c, tol=tol, max_step=max_step, depth=depth - 1)
-    return a + b[1:]
+    head = _bisect_in_fiber(left, (a, b), c, tol=tol, max_step=max_step, depth=depth - 1)
+    tail = _bisect_in_fiber((a, b), right, c, tol=tol, max_step=max_step, depth=depth - 1)
+    return head + tail[1:]
 
 
 def connect_in_fiber(
@@ -315,51 +312,28 @@ def connect_in_fiber(
     tol: float = 1e-10,
     max_step: float = 0.2,
     depth: int = 12,
-    rng: np.random.Generator | None = None,
 ) -> list[Pair]:
     """A discrete path inside the fiber [A, B] = c joining p0 to p1.
 
     For c within angle 1e-6 of 1 the path runs through the commuting
     stratum via (1, 1).  Otherwise it is a recursive midpoint bisection
-    from p0 to p1 with Newton re-projection of each midpoint; only when
-    that fails is a random fiber waypoint drawn from rng (up to three
-    times, one fresh waypoint per retry).  Every fiber of the commutator
-    map is connected, so failure indicates a search budget problem, and is
-    raised as FiberConnectError rather than hidden.
+    from p0 to p1 with Newton re-projection of each midpoint; no random
+    numbers are drawn.  Every fiber of the commutator map is connected, so
+    failure indicates a search budget problem, and is raised as
+    FiberConnectError rather than hidden.
     """
     if c.angle() < _SNAP_ANGLE:
         return _commuting_stratum_route(p0, p1, max_step)
-
-    def bisect(left: Pair, right: Pair) -> list[Pair]:
-        return _bisect_in_fiber(left, right, c, tol=tol, max_step=max_step, depth=depth)
-
-    try:
-        return bisect(p0, p1)
-    except FiberConnectError as exc:
-        error: Exception = exc
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(3):
-        try:
-            w = sample_fiber(c, rng, tol=tol)
-            return bisect(p0, w) + bisect(w, p1)[1:]
-        except (ProjectionError, FiberConnectError) as exc:
-            error = exc
-    raise FiberConnectError(f"no route found in fiber: {error}")
+    return _bisect_in_fiber(p0, p1, c, tol=tol, max_step=max_step, depth=depth)
 
 
 # -- moving-fiber continuation -----------------------------------------
 
-def _step_pair(pair: Pair, target: SU2, tol: float, rng: np.random.Generator) -> Pair | None:
+def _step_pair(pair: Pair, target: SU2, tol: float) -> Pair | None:
     """`pair` moved onto the fiber of `target`, or None when that fails."""
     if target.angle() < _SNAP_ANGLE:
         return snap_commuting_pair(*pair)
     a, b, _, ok = project_pair_to_fiber(pair[0], pair[1], target, tol=tol)
-    if not ok:
-        # one rescue from a slightly perturbed start
-        pa = exp_tangent(1e-4 * rng.standard_normal(3)) * pair[0]
-        pb = exp_tangent(1e-4 * rng.standard_normal(3)) * pair[1]
-        a, b, _, ok = project_pair_to_fiber(pa, pb, target, tol=tol)
     return (a, b) if ok else None
 
 
@@ -370,7 +344,6 @@ def continue_fiber(
     init_steps: int = 16,
     tol: float = 1e-10,
     max_step: float = 0.2,
-    rng: np.random.Generator | None = None,
 ) -> list[tuple[float, tuple[Pair, ...]]]:
     """Track pairs along moving fibers [A_i, B_i] = targets(t)[i], t 0 -> 1.
 
@@ -379,11 +352,9 @@ def continue_fiber(
     back on success, up to 1 / init_steps.  Targets within angle 1e-6 of
     the identity are handled by snapping the pair onto the
     exactly-commuting stratum instead of projecting against a singular
-    fiber.  At most 4096 nodes.  Returns (t, pairs) nodes, starting with
-    (0, pairs).
+    fiber.  No random numbers are drawn.  At most 4096 nodes.  Returns
+    (t, pairs) nodes, starting with (0, pairs).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     dt = 1.0 / init_steps
     min_dt = 1.0 / (init_steps * 4096.0)
     nodes: list[tuple[float, tuple[Pair, ...]]] = [(0.0, tuple(pairs))]
@@ -392,7 +363,7 @@ def continue_fiber(
         tn = min(t + dt, 1.0)
         moved: list[Pair] = []
         for pair, target in zip(nodes[-1][1], targets(tn)):
-            cand = _step_pair(pair, target, tol, rng)
+            cand = _step_pair(pair, target, tol)
             if cand is None or step_between(pair, cand) > max_step:
                 break
             moved.append(cand)

@@ -401,7 +401,7 @@ def _random_torus_core_rep(m: int, rng: np.random.Generator) -> SurfaceRep:
     b3 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
     b1 = haar_random(rng)
     c = commutator(a1, b1).inverse() * commutator(a3, b3).inverse()
-    a2, b2 = sample_fiber(c, rng, tol=1e-12)
+    a2, b2 = sample_fiber(c, rng)
     return SurfaceRep(a1, b1, a2, b2, a3, b3)
 
 
@@ -412,10 +412,10 @@ def _random_quantized_rep(
     theta_l = quantized_angle(m, sign, l)
     a1 = exp_axis_angle(random_axis(rng), theta_k)
     x_target = exp_axis_angle(random_axis(rng), theta_l)
-    a3, b3 = sample_fiber(x_target * a1.inverse(), rng, tol=1e-12)
+    a3, b3 = sample_fiber(x_target * a1.inverse(), rng)
     b1 = haar_random(rng)
     c = commutator(a1, b1).inverse() * commutator(a3, b3).inverse()
-    a2, b2 = sample_fiber(c, rng, tol=1e-12)
+    a2, b2 = sample_fiber(c, rng)
     return SurfaceRep(a1, b1, a2, b2, a3, b3)
 
 
@@ -487,7 +487,7 @@ def random_extended_fixed_sample(n: int, rng: np.random.Generator) -> TorusRep:
     a1 = _off_center_a1(n, rng)
     b1 = haar_random(rng)
     t = s * (b1 * a1.power(-n) * b1.inverse())
-    a3, b3 = sample_fiber(commutator(b1, a1), rng, tol=1e-12)
+    a3, b3 = sample_fiber(commutator(b1, a1), rng)
     axis = t.axis()
     a2 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
     b2 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))

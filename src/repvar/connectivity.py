@@ -265,9 +265,9 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
     Uses only the residual table (one batched evaluation, which doubles as
     the classifiers' precondition) and the label readings: per-point
     residuals against the stated maximum, the stated maximum against the
-    stated tolerance, consecutive steps against the stated step bound,
-    endpoint labels against the stated label, and label constancy at every
-    classifiable interior point.
+    stated tolerance, consecutive steps against the stated step bound, and
+    the label of every point, endpoints and interior alike, against the
+    stated label (an unclassifiable point is a problem).
     """
     problems: list[str] = []
     pts = cert.points
@@ -285,20 +285,14 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         s = step_between(p.elements(), q.elements())
         if s > cert.max_step + 1e-12:
             problems.append(f"step {i}->{i + 1}: {s:.4f} above stated bound")
-    if cert.system in ("fix", "torus"):
-        texts = _label_texts(pts, cert.system, cert.n, cert.tol, residuals)
-        for idx in (0, len(pts) - 1):
-            text = texts[idx]
-            if text is None:
-                problems.append(f"endpoint {idx} is unclassifiable")
-            elif text != cert.label:
-                problems.append(
-                    f"endpoint {idx} classifies as {text!r}, certificate says {cert.label!r}"
-                )
-        for i in range(1, len(pts) - 1):
-            text = texts[i]
-            if text is not None and text != cert.label:
-                problems.append(f"interior point {i} classifies as {text!r}")
+    texts = _label_texts(pts, cert.system, cert.n, cert.tol, residuals)
+    for i, text in enumerate(texts):
+        if text is None:
+            problems.append(f"point {i} is unclassifiable")
+        elif text != cert.label:
+            problems.append(
+                f"point {i} classifies as {text!r}, certificate says {cert.label!r}"
+            )
     return VerificationReport(not problems, tuple(problems))
 
 
@@ -379,7 +373,6 @@ def _fiber_leg(
     end: tuple[SU2, SU2],
     c: SU2,
     cfg: PathConfig,
-    rng: np.random.Generator,
     stage: str,
 ) -> list[Rep]:
     """Move the named pair of rep to `end` inside the fiber [ , ] = c."""
@@ -392,7 +385,6 @@ def _fiber_leg(
             tol=_NODE_TOL,
             max_step=cfg.max_step,
             depth=cfg.bisection_depth,
-            rng=rng,
         )
     except FiberConnectError as exc:
         raise PathError(str(exc), stage=stage) from exc
@@ -404,7 +396,6 @@ def _continuation(
     targets: Callable[[float], tuple[SU2, ...]],
     init_steps: int,
     cfg: PathConfig,
-    rng: np.random.Generator,
     stage: str,
 ) -> list:
     """continue_fiber within the bounds of cfg: the (t, pairs) nodes after t = 0."""
@@ -415,16 +406,13 @@ def _continuation(
             init_steps=init_steps,
             tol=_NODE_TOL,
             max_step=cfg.max_step,
-            rng=rng,
         )
     except ContinuationError as exc:
         raise PathError(str(exc), stage=stage) from exc
     return nodes[1:]
 
 
-def _track_b1_leg(
-    rep: SurfaceRep, cfg: PathConfig, rng: np.random.Generator
-) -> list[SurfaceRep]:
+def _track_b1_leg(rep: SurfaceRep, cfg: PathConfig) -> list[SurfaceRep]:
     """Move B1 to 1; (A2, B2) tracks [A1, B1(t)]^-1 [A3, B3]^-1."""
     if rep.b1.dist(ONE) < 1e-15:
         return []
@@ -436,7 +424,7 @@ def _track_b1_leg(
         return (commutator(a1, b1_path(t)).inverse() * y3inv,)
 
     init_steps = max(8, step_count(speed, cfg.max_step))
-    nodes = _continuation(((rep.a2, rep.b2),), targets, init_steps, cfg, rng, "move-b1")
+    nodes = _continuation(((rep.a2, rep.b2),), targets, init_steps, cfg, "move-b1")
     return [replace(rep, b1=b1_path(t), a2=a2, b2=b2) for t, ((a2, b2),) in nodes]
 
 
@@ -445,7 +433,6 @@ def _dual_fiber_leg(
     y_of_t: Callable[[float], SU2],
     speed: float,
     cfg: PathConfig,
-    rng: np.random.Generator,
     stage: str,
 ) -> list[SurfaceRep]:
     """March (A3, B3) along [ , ] = Y(t) and (A2, B2) along Y(t)^-1, t: 0 -> 1.
@@ -462,7 +449,7 @@ def _dual_fiber_leg(
 
     init_steps = max(4, step_count(speed, cfg.max_step))
     pairs = ((rep.a3, rep.b3), (rep.a2, rep.b2))
-    nodes = _continuation(pairs, targets, init_steps, cfg, rng, stage)
+    nodes = _continuation(pairs, targets, init_steps, cfg, stage)
     return [
         replace(rep, a3=a3, b3=b3, a2=a2, b2=b2) for _, ((a3, b3), (a2, b2)) in nodes
     ]
@@ -477,9 +464,7 @@ def _snap_to_angle(el: SU2, theta: float) -> SU2:
     return exp_axis_angle(el.axis(), theta)
 
 
-def _central_descent(
-    rep: SurfaceRep, m: int, cfg: PathConfig, rng: np.random.Generator
-) -> list[SurfaceRep]:
+def _central_descent(rep: SurfaceRep, m: int, cfg: PathConfig) -> list[SurfaceRep]:
     """Descend a central-component point (B1 = 1 already) to the trivial tuple.
 
     Each branch first reaches (A1, 1, commuting A2 B2, commuting A3 B3).
@@ -515,35 +500,31 @@ def _central_descent(
         a2, b2 = snap_commuting_pair(rep.a2, rep.b2)
         points.append(replace(rep, a2=a2, b2=b2, a3=a3, b3=b3))
     else:
-        points += _dual_fiber_leg(rep, merge[0], merge[1], cfg, rng, merge[2])
+        points += _dual_fiber_leg(rep, merge[0], merge[1], cfg, merge[2])
     points += _contract(points[-1], ("a3", "b3", "a2", "b2", "a1"), cfg)
     return points
 
 
 def canonical_path(
-    rep: SurfaceRep,
-    n: int,
-    cfg: PathConfig | None = None,
-    rng: np.random.Generator | None = None,
+    rep: SurfaceRep, n: int, cfg: PathConfig | None = None
 ) -> PathCertificate:
     """Certificate from `rep` to the canonical representative of its label."""
     cfg = cfg or PathConfig()
-    rng = rng if rng is not None else np.random.default_rng(0)
-    label, points = _fix_path_points(rep, n, cfg, rng)
+    label, points = _fix_path_points(rep, n, cfg)
     return _finish(points, "fix", n, label.text(), cfg)
 
 
 def _fix_path_points(
-    rep: SurfaceRep, n: int, cfg: PathConfig, rng: np.random.Generator
+    rep: SurfaceRep, n: int, cfg: PathConfig
 ) -> tuple[ComponentLabel, list[SurfaceRep]]:
     """Label of `rep` and the staged path's nodes, not yet assembled."""
     label = classify_fix(rep, n, cfg.residual_tol)
     m = abs(n)
     points: list[SurfaceRep] = [rep]
-    points += _track_b1_leg(rep, cfg, rng)
+    points += _track_b1_leg(rep, cfg)
 
     if label.is_central:
-        points += _central_descent(points[-1], m, cfg, rng)
+        points += _central_descent(points[-1], m, cfg)
         points.append(trivial_rep())
         return label, points
 
@@ -581,18 +562,17 @@ def _fix_path_points(
         if psi > 1e-12:
             a1_inv = current.a1.inverse()
             points += _dual_fiber_leg(
-                current, lambda t: x_path(t) * a1_inv, psi, cfg, rng, "rotate-x"
+                current, lambda t: x_path(t) * a1_inv, psi, cfg, "rotate-x"
             )
 
     # within-fiber legs to the canonical pairs
     target = canonical_representative(n, label)
     y_star = commutator(target.a3, target.b3)
     points += _fiber_leg(
-        points[-1], ("a3", "b3"), (target.a3, target.b3), y_star, cfg, rng,
-        "fiber-endgame-3",
+        points[-1], ("a3", "b3"), (target.a3, target.b3), y_star, cfg, "fiber-endgame-3"
     )
     points += _fiber_leg(
-        points[-1], ("a2", "b2"), (target.a2, target.b2), y_star.inverse(), cfg, rng,
+        points[-1], ("a2", "b2"), (target.a2, target.b2), y_star.inverse(), cfg,
         "fiber-endgame-2",
     )
     points.append(target)
@@ -626,9 +606,7 @@ def _all_commuting_descent(trep: TorusRep, cfg: PathConfig) -> list[TorusRep]:
     return [start] + _contract(start, names, cfg, axis)
 
 
-def _boundary_stratum_descent(
-    trep: TorusRep, n: int, cfg: PathConfig, rng: np.random.Generator
-) -> list[TorusRep]:
+def _boundary_stratum_descent(trep: TorusRep, n: int, cfg: PathConfig) -> list[TorusRep]:
     """Descent for tuples with T X^n central but T non-central.
 
     On this stratum [A3, B3] = [B1, A1] and T = s B1 A1^-n B1^-1; the path
@@ -650,7 +628,7 @@ def _boundary_stratum_descent(
     out: list[TorusRep] = [trep]
     # leg 1: (A3, B3) -> (B1, A1) within the fiber of [B1, A1]
     out += _fiber_leg(
-        trep, ("a3", "b3"), (rep.b1, rep.a1), commutator(rep.b1, rep.a1), cfg, rng,
+        trep, ("a3", "b3"), (rep.b1, rep.a1), commutator(rep.b1, rep.a1), cfg,
         "boundary-leg1",
     )
     # leg 2: snap and contract (A2, B2) along T's torus
@@ -686,14 +664,10 @@ def _boundary_stratum_descent(
 
 
 def canonical_torus_path(
-    trep: TorusRep,
-    n: int,
-    cfg: PathConfig | None = None,
-    rng: np.random.Generator | None = None,
+    trep: TorusRep, n: int, cfg: PathConfig | None = None
 ) -> PathCertificate:
     """Certificate from a mapping-torus point to its canonical representative."""
     cfg = cfg or PathConfig()
-    rng = rng if rng is not None else np.random.default_rng(0)
     label = classify_torus(trep, n, cfg.residual_tol)
     points: list[TorusRep] = [trep]
 
@@ -702,7 +676,7 @@ def canonical_torus_path(
         # central T (as every non-central label has): lift the fix path
         eps = ONE if eps_sign > 0 else MINUS_ONE
         points.append(TorusRep(eps, trep.rep))
-        _, fix_points = _fix_path_points(trep.rep, n, cfg, rng)
+        _, fix_points = _fix_path_points(trep.rep, n, cfg)
         points += [TorusRep(eps, p) for p in fix_points[1:]]
         if not label.is_central:
             return _finish(points, "torus", n, label.text(), cfg)
@@ -717,7 +691,7 @@ def canonical_torus_path(
         if all_commuting:
             points += _all_commuting_descent(trep, cfg)
         else:
-            points += _boundary_stratum_descent(trep, n, cfg, rng)
+            points += _boundary_stratum_descent(trep, n, cfg)
     points.append(canonical_torus_representative(n, TORUS_CENTRAL))
     return _finish(points, "torus", n, TORUS_CENTRAL.text(), cfg)
 
@@ -761,7 +735,7 @@ def probe_path(
         if not proj.converged:
             raise PathError("projection off the interpolant failed", stage="probe")
         text = _classify_text(proj.rep, system, n, cfg.residual_tol)
-        if text is not None and text != label0:
+        if text != label0:
             raise PathError(
                 f"projected point left the component ({text!r})", stage="probe"
             )
@@ -900,7 +874,8 @@ def census(
     """Sample every component, classify, and collect path evidence.
 
     Per-sample generators are pure functions of (seed, system, label index,
-    sample index), so results do not depend on scheduling.  Failures are
+    sample index) and draw only the sample; path construction draws
+    nothing, so results do not depend on scheduling.  Failures are
     reported, never raised.  The component estimate is the number of
     distinct labels observed (the exact-invariant channel).  The path
     channel, `path_classes`, is one class per label plus one per sample
@@ -943,9 +918,9 @@ def census(
                 anomalies += 1
             try:
                 if system == "fix":
-                    cert = canonical_path(rep, n, cfg, rng)
+                    cert = canonical_path(rep, n, cfg)
                 else:
-                    cert = canonical_torus_path(rep, n, cfg, rng)
+                    cert = canonical_torus_path(rep, n, cfg)
             except _SAMPLE_FAILURES:
                 unresolved += 1
                 continue

@@ -141,12 +141,6 @@ class ResidualReport:
     def max(self) -> float:
         return max(value for _, value in self.entries)
 
-    def __getitem__(self, tag: str) -> float:
-        for name, value in self.entries:
-            if name == tag:
-                return value
-        raise KeyError(tag)
-
     def as_dict(self) -> dict[str, float]:
         return dict(self.entries)
 

@@ -129,7 +129,7 @@ def test_criterion_6_commutator_oracle():
         b = SU2(0.0, *v2)
         assert commutator(a, b).dist(MINUS_ONE) < 1e-10
     for _ in range(1000):
-        a, b = sample_fiber(MINUS_ONE, rng, tol=1e-12)
+        a, b = sample_fiber(MINUS_ONE, rng)
         assert abs(a.trace) < 1e-5
         assert abs(b.trace) < 1e-5
         assert abs((a * b).trace) < 1e-5
@@ -171,7 +171,7 @@ def test_criterion_9_certificate_soundness():
         for li, label in enumerate(enumerate_fix_labels(n)):
             rng = np.random.default_rng([31, n, li])
             rep = randomized_representative(n, label, rng)
-            certs.append(canonical_path(rep, n, cfg, rng))
+            certs.append(canonical_path(rep, n, cfg))
     for cert in certs:
         assert verify_certificate(cert).ok
     # fuzz against a certificate whose bounds are genuinely active, so that

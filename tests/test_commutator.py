@@ -1,5 +1,3 @@
-import importlib
-
 import numpy as np
 import pytest
 
@@ -91,7 +89,7 @@ def test_minus_one_characterization_both_ways():
         assert commutator(a, b).dist(MINUS_ONE) < 1e-10
     for _ in range(200):
         # points of the fiber have all three traces near zero
-        a, b = sample_fiber(MINUS_ONE, rng, tol=1e-12)
+        a, b = sample_fiber(MINUS_ONE, rng)
         assert commutator(a, b).dist(MINUS_ONE) < 1e-12
         assert abs(a.trace) < 1e-5 and abs(b.trace) < 1e-5 and abs((a * b).trace) < 1e-5
 
@@ -142,55 +140,13 @@ def _assert_fiber_path(path, p0, p1, c):
         ) <= 0.2 + 1e-12
 
 
-# `repvar.commutator` as a package attribute is the su2 function re-exported
-# by `repvar`, so the module is looked up by name
-COMMUTATOR = importlib.import_module("repvar.commutator")
-
-
-def _count_waypoint_draws(monkeypatch) -> list:
-    """Calls of sample_fiber made from inside the commutator module."""
-    draws = []
-    sample = COMMUTATOR.sample_fiber
-
-    def counted(*args, **kwargs):
-        draws.append(args)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(COMMUTATOR, "sample_fiber", counted)
-    return draws
-
-
-def test_connect_in_fiber_stays_in_fiber(monkeypatch):
-    draws = _count_waypoint_draws(monkeypatch)
+def test_connect_in_fiber_stays_in_fiber():
     rng = np.random.default_rng(6)
     for c in (haar_random(rng), MINUS_ONE):
         p0 = sample_fiber(c, rng)
         p1 = sample_fiber(c, rng)
-        path = connect_in_fiber(p0, p1, c, tol=1e-10, max_step=0.2, rng=rng)
+        path = connect_in_fiber(p0, p1, c, tol=1e-10, max_step=0.2)
         _assert_fiber_path(path, p0, p1, c)
-    # the direct bisection succeeds, so no fallback waypoint is drawn
-    assert draws == []
-
-
-def test_connect_in_fiber_falls_back_to_one_waypoint(monkeypatch):
-    rng = np.random.default_rng(6)
-    c = haar_random(rng)
-    p0, p1 = sample_fiber(c, rng), sample_fiber(c, rng)
-    bisect = COMMUTATOR._bisect_in_fiber
-    refused = []
-
-    def refuse_direct_leg(left, right, *args, **kwargs):
-        if left is p0 and right is p1 and not refused:
-            refused.append((left, right))
-            raise COMMUTATOR.FiberConnectError("direct leg refused")
-        return bisect(left, right, *args, **kwargs)
-
-    monkeypatch.setattr(COMMUTATOR, "_bisect_in_fiber", refuse_direct_leg)
-    draws = _count_waypoint_draws(monkeypatch)
-    path = connect_in_fiber(p0, p1, c, tol=1e-10, max_step=0.2, rng=rng)
-    assert len(refused) == 1
-    assert len(draws) == 1
-    _assert_fiber_path(path, p0, p1, c)
 
 
 def test_continue_fiber_two_pairs_snap_at_identity():
@@ -203,7 +159,7 @@ def test_continue_fiber_two_pairs_snap_at_identity():
         y = geodesic(y0, ONE, t)
         return (y, y.inverse())
 
-    nodes = continue_fiber(pairs, targets, init_steps=4, tol=1e-10, max_step=0.2, rng=rng)
+    nodes = continue_fiber(pairs, targets, init_steps=4, tol=1e-10, max_step=0.2)
     assert nodes[0] == (0.0, pairs)
     assert nodes[-1][0] == 1.0
     for t, node in nodes:

@@ -110,7 +110,7 @@ def test_canonical_path_from_canonical_point_is_short():
 def test_canonical_path_randomized():
     rng = np.random.default_rng(9)
     rep = randomized_representative(3, ComponentLabel("-", 0, 1), rng)
-    cert = canonical_path(rep, 3, CFG, rng)
+    cert = canonical_path(rep, 3, CFG)
     assert verify_certificate(cert).ok
     target = canonical_representative(3, ComponentLabel("-", 0, 1))
     assert cert.points[-1].dist(target) < 1e-9
@@ -124,7 +124,7 @@ def test_canonical_path_abelian_stays_commuting():
     rep = SurfaceRep(
         *(exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)) for _ in range(6))
     )
-    cert = canonical_path(rep, 2, CFG, rng)
+    cert = canonical_path(rep, 2, CFG)
     assert verify_certificate(cert).ok
     assert cert.points[-1].dist(trivial_rep()) < 1e-9
     for point in cert.points:
@@ -142,13 +142,13 @@ def test_canonical_torus_path_flavors():
     rng = np.random.default_rng(11)
     label = TorusLabel(-1, ComponentLabel("+", 1, 0))
     trep = randomized_torus_representative(2, label, rng)
-    cert = canonical_torus_path(trep, 2, CFG, rng)
+    cert = canonical_torus_path(trep, 2, CFG)
     assert verify_certificate(cert).ok
     assert cert.points[-1].dist(canonical_torus_representative(2, label)) < 1e-9
 
     # central T = -1 needs the bridge to (1, trivial)
     trep = TorusRep(MINUS_ONE, trivial_rep())
-    cert = canonical_torus_path(trep, 2, CFG, rng)
+    cert = canonical_torus_path(trep, 2, CFG)
     assert verify_certificate(cert).ok
     assert cert.points[-1].dist(TorusRep(ONE, trivial_rep())) < 1e-12
 
@@ -156,12 +156,12 @@ def test_canonical_torus_path_flavors():
     axis = (0.0, 0.0, 1.0)
     tup = SurfaceRep(*(exp_axis_angle(axis, 0.3 * (i + 1)) for i in range(6)))
     trep = TorusRep(exp_axis_angle(axis, 1.1), tup)
-    cert = canonical_torus_path(trep, 3, CFG, rng)
+    cert = canonical_torus_path(trep, 3, CFG)
     assert verify_certificate(cert).ok
 
     # T X^n central with T non-central
     trep = random_extended_fixed_sample(2, np.random.default_rng(12))
-    cert = canonical_torus_path(trep, 2, CFG, rng)
+    cert = canonical_torus_path(trep, 2, CFG)
     assert verify_certificate(cert).ok
     assert cert.label == "central"
 
@@ -193,7 +193,7 @@ def _antipodal_starts():
 def test_antipodal_starts_detour_and_verify(system, n, start, end):
     assert residual_for(start, system, n).max < 1e-12
     path = canonical_path if system == "fix" else canonical_torus_path
-    cert = path(start, n, CFG, np.random.default_rng(42))
+    cert = path(start, n, CFG)
     assert verify_certificate(cert).ok
     assert cert.max_step <= CFG.max_step + 1e-12
     assert cert.points[0].dist(start) < 1e-12
@@ -201,9 +201,8 @@ def test_antipodal_starts_detour_and_verify(system, n, start, end):
 
 
 def test_bridge_at_n_zero():
-    rng = np.random.default_rng(13)
     trep = TorusRep(MINUS_ONE, trivial_rep())
-    cert = canonical_torus_path(trep, 0, CFG, rng)
+    cert = canonical_torus_path(trep, 0, CFG)
     assert verify_certificate(cert).ok
     assert cert.points[-1].dist(TorusRep(ONE, trivial_rep())) < 1e-12
 
@@ -211,7 +210,7 @@ def test_bridge_at_n_zero():
 def test_verify_rejects_corrupted_point():
     rng = np.random.default_rng(14)
     rep = randomized_representative(2, ComponentLabel("+", 0, 1), rng)
-    cert = canonical_path(rep, 2, CFG, rng)
+    cert = canonical_path(rep, 2, CFG)
     assert verify_certificate(cert).ok
     doc = certificate_to_dict(cert)
     broken = json.loads(json.dumps(doc))
@@ -226,7 +225,7 @@ def test_verify_rejects_corrupted_point():
 def test_verify_rejects_mismatched_endpoint():
     rng = np.random.default_rng(15)
     rep = randomized_representative(2, ComponentLabel("+", 0, 1), rng)
-    cert = canonical_path(rep, 2, CFG, rng)
+    cert = canonical_path(rep, 2, CFG)
     doc = certificate_to_dict(cert)
     # swap the final point for a representative of a different component
     other = canonical_representative(2, ComponentLabel("+", 1, 0))
@@ -235,10 +234,90 @@ def test_verify_rejects_mismatched_endpoint():
     assert not report.ok
 
 
+def _sample_certificate(system):
+    rng = np.random.default_rng(18)
+    if system == "fix":
+        rep = randomized_representative(2, ComponentLabel("+", 0, 1), rng)
+        return canonical_path(rep, 2, CFG)
+    label = TorusLabel(-1, ComponentLabel("+", 1, 0))
+    return canonical_torus_path(randomized_torus_representative(2, label, rng), 2, CFG)
+
+
+def _refuse_reading_at(monkeypatch, system, refused):
+    """Make the label reading of `system` fail at the points `refused(p)` picks."""
+    name = "read_fix_label" if system == "fix" else "read_torus_label"
+    read = getattr(connectivity, name)
+
+    def reading(p, *args):
+        if refused(p):
+            raise Unclassifiable("label reading refused")
+        return read(p, *args)
+
+    monkeypatch.setattr(connectivity, name, reading)
+
+
+@pytest.mark.parametrize("system", ["fix", "torus"])
+def test_verify_rejects_unclassifiable_interior_point(monkeypatch, system):
+    cert = _sample_certificate(system)
+    assert verify_certificate(cert).ok
+    idx = len(cert.points) // 2
+    assert 0 < idx < len(cert.points) - 1
+    _refuse_reading_at(monkeypatch, system, lambda p: p is cert.points[idx])
+    report = verify_certificate(cert)
+    assert report.problems == (f"point {idx} is unclassifiable",)
+
+
+@pytest.mark.parametrize("system", ["fix", "torus"])
+def test_probe_refuses_unclassifiable_projections(monkeypatch, system):
+    # every projected point is unreadable, so no step is admissible and
+    # probe fails instead of emitting a certificate the verifier refuses
+    cert = _sample_certificate(system)
+    r0 = cert.points[0]
+    r1 = r0.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.5))
+    assert verify_certificate(probe_path(r0, r1, system, 2, CFG)).ok
+    _refuse_reading_at(monkeypatch, system, lambda p: p is not r0 and p is not r1)
+    with pytest.raises(connectivity.PathError) as err:
+        probe_path(r0, r1, system, 2, CFG)
+    assert err.value.stage == "probe"
+
+
+def test_path_construction_draws_no_random_numbers(monkeypatch):
+    # non-central, central and n = 0 fix starts; torus starts over a
+    # non-central label, the central label, the boundary stratum, the
+    # bridge from T = -1 and the all-commuting stratum
+    rng = np.random.default_rng(19)
+    fix_starts = [
+        (3, randomized_representative(3, ComponentLabel("-", 0, 1), rng)),
+        (2, randomized_representative(2, ComponentLabel(), rng)),
+        (0, randomized_representative(0, ComponentLabel(), rng)),
+    ]
+    off_center = TorusLabel(-1, ComponentLabel("+", 1, 0))
+    axis = (0.0, 0.0, 1.0)
+    commuting = SurfaceRep(*(exp_axis_angle(axis, 0.3 * (i + 1)) for i in range(6)))
+    torus_starts = [
+        (2, randomized_torus_representative(2, off_center, rng)),
+        (-3, randomized_torus_representative(-3, TorusLabel(), rng)),
+        (2, random_extended_fixed_sample(2, rng)),
+        (2, TorusRep(MINUS_ONE, trivial_rep())),
+        (3, TorusRep(exp_axis_angle(axis, 1.1), commuting)),
+    ]
+
+    def no_generators(*args, **kwargs):
+        raise AssertionError("path construction created a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generators)
+    certs = [canonical_path(rep, n, CFG) for n, rep in fix_starts]
+    certs += [canonical_torus_path(trep, n, CFG) for n, trep in torus_starts]
+    assert all(verify_certificate(cert).ok for cert in certs)
+    assert [cert.label for cert in certs] == ["-,0,1"] + ["central"] * 2 + [
+        off_center.text()
+    ] + ["central"] * 4
+
+
 def test_verify_rejects_understated_bounds():
     rng = np.random.default_rng(16)
     rep = randomized_representative(2, ComponentLabel("+", 1, 0), rng)
-    cert = canonical_path(rep, 2, CFG, rng)
+    cert = canonical_path(rep, 2, CFG)
     doc = certificate_to_dict(cert)
     doc["max_residual"] = 1e-300
     assert not verify_certificate(certificate_from_dict(doc)).ok
@@ -250,7 +329,7 @@ def test_verify_rejects_understated_bounds():
 def test_certificate_file_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     rep = randomized_representative(2, ComponentLabel("+", 0, 1), rng)
-    cert = canonical_path(rep, 2, CFG, rng)
+    cert = canonical_path(rep, 2, CFG)
     path = tmp_path / "cert.json"
     save_certificate(path, cert)
     loaded = load_certificate(path)
@@ -409,11 +488,11 @@ def test_batched_residuals_match_float_path(monkeypatch):
     rng = np.random.default_rng(31)
     batches = list(_edge_cases(rng))
     rep = randomized_representative(3, ComponentLabel("-", 1, 0), rng)
-    batches.append(("fix", 3, canonical_path(rep, 3, CFG, rng).points))
+    batches.append(("fix", 3, canonical_path(rep, 3, CFG).points))
     for label in (TorusLabel(-1, ComponentLabel("+", 1, 0)), TorusLabel()):
         for _ in range(2):
             trep = randomized_torus_representative(-3, label, rng)
-            batches.append(("torus", -3, canonical_torus_path(trep, -3, CFG, rng).points))
+            batches.append(("torus", -3, canonical_torus_path(trep, -3, CFG).points))
     # the float path serves small batches; force the array kernel throughout
     monkeypatch.setattr(varieties, "_BATCH_MIN", 0)
     for system, n, points in batches:
