@@ -9,7 +9,8 @@ with tr(A) = tr(B) = tr(AB) = 0.  This module provides:
   and reproducible;
 * a Newton projector onto a fiber with analytic Jacobian
   (project_pair_to_fiber), the inner loop of all path tracking;
-* exact randomizing moves inside a fiber (randomize_in_fiber);
+* exact randomizing moves inside a fiber (randomize_in_fiber), which
+  spread the section into an exact fiber sampler (sample_fiber);
 * within-fiber path search (connect_in_fiber) and moving-fiber
   continuation (continue_fiber).  Both are deterministic: they draw no
   random numbers, so a path is a pure function of its inputs.
@@ -27,6 +28,7 @@ import numpy as np
 
 from .su2 import (
     E1,
+    MAX_STEP,
     ONE,
     SU2,
     align_conjugator,
@@ -37,7 +39,6 @@ from .su2 import (
     geodesic,
     haar_random,
     qmul,
-    random_axis,
     step_between,
     torus_snap,
 )
@@ -51,16 +52,12 @@ __all__ = [
     "snap_commuting_pair",
     "connect_in_fiber",
     "continue_fiber",
-    "ProjectionError",
+    "NODE_TOL",
     "ContinuationError",
     "FiberConnectError",
 ]
 
 Pair = tuple[SU2, SU2]
-
-
-class ProjectionError(RuntimeError):
-    """Projection onto a commutator fiber failed to converge."""
 
 
 class ContinuationError(RuntimeError):
@@ -92,11 +89,12 @@ def solve_commutator(c: SU2) -> Pair:
     For c away from 1, take the trace-zero normal form A = i,
     B = -cos(theta/2) i + sin(theta/2) j with theta the angle of c (this
     gives tr([A, B]) = 2 cos(theta) by the trace identity), then conjugate
-    the pair so the commutator's axis matches c.
+    the pair so the commutator's axis matches c.  theta is an atan2, which
+    unlike arccos(Re c) stays accurate within rounding of +-1.
     """
     if c.dist(ONE) < 1e-12:
         return (ONE, ONE)
-    theta = c.angle()
+    theta = math.atan2(math.sqrt(c.x * c.x + c.y * c.y + c.z * c.z), c.w)
     a = SU2(0.0, 1.0, 0.0, 0.0)
     b = SU2(0.0, -math.cos(theta / 2.0), math.sin(theta / 2.0), 0.0)
     g = align_conjugator(commutator(a, b), c, trace_tol=1e-8)
@@ -210,28 +208,9 @@ def randomize_in_fiber(a: SU2, b: SU2, rng: np.random.Generator) -> Pair:
 
 
 def sample_fiber(c: SU2, rng: np.random.Generator) -> Pair:
-    """A random pair with [A, B] = c within 1e-12.
-
-    Haar random start followed by Newton projection (100 iterations, up to
-    8 restarts); for c at the identity the fiber is the commuting pairs,
-    sampled exactly on a random maximal torus.  Raises ProjectionError if
-    no restart converges in budget.
-    """
-    if c.dist(ONE) < 1e-12:
-        axis = random_axis(rng)
-        return (
-            exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)),
-            exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)),
-        )
-    for _ in range(8):
-        a, b, res, ok = project_pair_to_fiber(
-            haar_random(rng), haar_random(rng), c, max_iter=100
-        )
-        if ok:
-            return a, b
-    raise ProjectionError(
-        f"fiber projection failed after 8 restarts (last residual {res:.3e})"
-    )
+    """A random pair with [A, B] = c, exact up to rounding and without
+    iteration: solve_commutator's pair spread by randomize_in_fiber."""
+    return randomize_in_fiber(*solve_commutator(c), rng)
 
 
 def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
@@ -251,12 +230,14 @@ def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
 
 # -- within-fiber connectivity -----------------------------------------
 
+NODE_TOL = 1e-10  # residual target of every node a path projects
+
 # A target this close to 1 counts as 1: pairs are snapped onto the
 # commuting stratum instead of projected onto a singular fiber.
 _SNAP_ANGLE = 1e-6
 
 
-def _commuting_stratum_route(p0: Pair, p1: Pair, max_step: float) -> list[Pair]:
+def _commuting_stratum_route(p0: Pair, p1: Pair) -> list[Pair]:
     """Explicit path between two (nearly) commuting pairs through (1, 1)."""
 
     def to_identity(pair: Pair) -> list[Pair]:
@@ -264,8 +245,8 @@ def _commuting_stratum_route(p0: Pair, p1: Pair, max_step: float) -> list[Pair]:
         a, b = snap_commuting_pair(*pair)
         axis = E1 if a.is_central(1e-12) else a.axis()
         nodes = [pair, (a, b)]
-        nodes += [(a, m) for m in contract_to_one(b, max_step, axis)]
-        nodes += [(m, ONE) for m in contract_to_one(a, max_step)]
+        nodes += [(a, m) for m in contract_to_one(b, axis)]
+        nodes += [(m, ONE) for m in contract_to_one(a)]
         return nodes
 
     nodes = to_identity(p0) + list(reversed(to_identity(p1)))
@@ -278,16 +259,8 @@ def _commuting_stratum_route(p0: Pair, p1: Pair, max_step: float) -> list[Pair]:
     return deduped
 
 
-def _bisect_in_fiber(
-    left: Pair,
-    right: Pair,
-    c: SU2,
-    *,
-    tol: float,
-    max_step: float,
-    depth: int,
-) -> list[Pair]:
-    if step_between(left, right) <= max_step:
+def _bisect_in_fiber(left: Pair, right: Pair, c: SU2, depth: int) -> list[Pair]:
+    if step_between(left, right) <= MAX_STEP:
         return [left, right]
     if depth <= 0:
         raise FiberConnectError("bisection depth exhausted")
@@ -296,23 +269,15 @@ def _bisect_in_fiber(
         mid_b = geodesic(left[1], right[1], 0.5)
     except ValueError as exc:  # antipodal coordinate
         raise FiberConnectError(str(exc))
-    a, b, _, ok = project_pair_to_fiber(mid_a, mid_b, c, tol=tol)
+    a, b, _, ok = project_pair_to_fiber(mid_a, mid_b, c, tol=NODE_TOL)
     if not ok:
         raise FiberConnectError("midpoint projection failed")
-    head = _bisect_in_fiber(left, (a, b), c, tol=tol, max_step=max_step, depth=depth - 1)
-    tail = _bisect_in_fiber((a, b), right, c, tol=tol, max_step=max_step, depth=depth - 1)
+    head = _bisect_in_fiber(left, (a, b), c, depth - 1)
+    tail = _bisect_in_fiber((a, b), right, c, depth - 1)
     return head + tail[1:]
 
 
-def connect_in_fiber(
-    p0: Pair,
-    p1: Pair,
-    c: SU2,
-    *,
-    tol: float = 1e-10,
-    max_step: float = 0.2,
-    depth: int = 12,
-) -> list[Pair]:
+def connect_in_fiber(p0: Pair, p1: Pair, c: SU2, *, depth: int = 12) -> list[Pair]:
     """A discrete path inside the fiber [A, B] = c joining p0 to p1.
 
     For c within angle 1e-6 of 1 the path runs through the commuting
@@ -323,17 +288,17 @@ def connect_in_fiber(
     FiberConnectError rather than hidden.
     """
     if c.angle() < _SNAP_ANGLE:
-        return _commuting_stratum_route(p0, p1, max_step)
-    return _bisect_in_fiber(p0, p1, c, tol=tol, max_step=max_step, depth=depth)
+        return _commuting_stratum_route(p0, p1)
+    return _bisect_in_fiber(p0, p1, c, depth)
 
 
 # -- moving-fiber continuation -----------------------------------------
 
-def _step_pair(pair: Pair, target: SU2, tol: float) -> Pair | None:
+def _step_pair(pair: Pair, target: SU2) -> Pair | None:
     """`pair` moved onto the fiber of `target`, or None when that fails."""
     if target.angle() < _SNAP_ANGLE:
         return snap_commuting_pair(*pair)
-    a, b, _, ok = project_pair_to_fiber(pair[0], pair[1], target, tol=tol)
+    a, b, _, ok = project_pair_to_fiber(pair[0], pair[1], target, tol=NODE_TOL)
     return (a, b) if ok else None
 
 
@@ -341,19 +306,17 @@ def continue_fiber(
     pairs: tuple[Pair, ...],
     targets: Callable[[float], tuple[SU2, ...]],
     *,
-    init_steps: int = 16,
-    tol: float = 1e-10,
-    max_step: float = 0.2,
+    init_steps: int,
 ) -> list[tuple[float, tuple[Pair, ...]]]:
     """Track pairs along moving fibers [A_i, B_i] = targets(t)[i], t 0 -> 1.
 
     Adaptive stepping: the parameter step halves when a warm-started
-    projection fails or any element moves farther than max_step, and grows
-    back on success, up to 1 / init_steps.  Targets within angle 1e-6 of
-    the identity are handled by snapping the pair onto the
-    exactly-commuting stratum instead of projecting against a singular
-    fiber.  No random numbers are drawn.  At most 4096 nodes.  Returns
-    (t, pairs) nodes, starting with (0, pairs).
+    projection to NODE_TOL fails or any element moves farther than
+    MAX_STEP, and grows back on success, up to 1 / init_steps.  Targets
+    within angle 1e-6 of the identity are handled by snapping the pair
+    onto the exactly-commuting stratum instead of projecting against a
+    singular fiber.  No random numbers are drawn.  At most 4096 nodes.
+    Returns (t, pairs) nodes, starting with (0, pairs).
     """
     dt = 1.0 / init_steps
     min_dt = 1.0 / (init_steps * 4096.0)
@@ -363,8 +326,8 @@ def continue_fiber(
         tn = min(t + dt, 1.0)
         moved: list[Pair] = []
         for pair, target in zip(nodes[-1][1], targets(tn)):
-            cand = _step_pair(pair, target, tol)
-            if cand is None or step_between(pair, cand) > max_step:
+            cand = _step_pair(pair, target)
+            if cand is None or step_between(pair, cand) > MAX_STEP:
                 break
             moved.append(cand)
         if len(moved) == len(pairs):

@@ -39,9 +39,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .commutator import (
+    NODE_TOL,
     ContinuationError,
     FiberConnectError,
-    ProjectionError,
     connect_in_fiber,
     continue_fiber,
     project_pair_to_fiber,
@@ -71,6 +71,7 @@ from .components import (
 )
 from .su2 import (
     E1,
+    MAX_STEP,
     MINUS_ONE,
     ONE,
     SU2,
@@ -125,15 +126,12 @@ CERT_FORMAT = "pathcert-1"
 
 _SYSTEM_IDS = {"fix": 0, "torus": 1, "surface": 2}
 
-_NODE_TOL = 1e-10  # construction target for projected nodes
-
 
 @dataclass(frozen=True)
 class PathConfig:
     """Budgets and bounds for path construction and acceptance."""
 
     residual_tol: float = 1e-7  # acceptance bound on per-point residuals
-    max_step: float = 0.2  # per-coordinate geodesic step bound (radians)
     bisection_depth: int = 12
     projection_iters: int = 100
 
@@ -216,7 +214,7 @@ def _finish(
             f"constructed path violates residual bound: {max_residual:.3e}",
             stage="assembly",
         )
-    if max_step > cfg.max_step + 1e-12:
+    if max_step > MAX_STEP + 1e-12:
         raise PathError(
             f"constructed path violates step bound: {max_step:.3f}", stage="assembly"
         )
@@ -357,11 +355,11 @@ def load_certificate(path: str | Path) -> PathCertificate:
 
 # -- staged legs ---------------------------------------------------------------
 
-def _contract(rep: Rep, names: Sequence[str], cfg: PathConfig, axis=E1) -> list[Rep]:
+def _contract(rep: Rep, names: Sequence[str], axis=E1) -> list[Rep]:
     """Contract the named elements of rep to 1 in turn (see contract_to_one)."""
     out: list[Rep] = []
     for name in names:
-        for node in contract_to_one(_element(rep, name), cfg.max_step, axis):
+        for node in contract_to_one(_element(rep, name), axis):
             rep = _with(rep, **{name: node})
             out.append(rep)
     return out
@@ -379,12 +377,7 @@ def _fiber_leg(
     a, b = names
     try:
         leg = connect_in_fiber(
-            (_element(rep, a), _element(rep, b)),
-            end,
-            c,
-            tol=_NODE_TOL,
-            max_step=cfg.max_step,
-            depth=cfg.bisection_depth,
+            (_element(rep, a), _element(rep, b)), end, c, depth=cfg.bisection_depth
         )
     except FiberConnectError as exc:
         raise PathError(str(exc), stage=stage) from exc
@@ -395,24 +388,17 @@ def _continuation(
     pairs: tuple,
     targets: Callable[[float], tuple[SU2, ...]],
     init_steps: int,
-    cfg: PathConfig,
     stage: str,
 ) -> list:
-    """continue_fiber within the bounds of cfg: the (t, pairs) nodes after t = 0."""
+    """continue_fiber's (t, pairs) nodes after t = 0; failures as PathError."""
     try:
-        nodes = continue_fiber(
-            pairs,
-            targets,
-            init_steps=init_steps,
-            tol=_NODE_TOL,
-            max_step=cfg.max_step,
-        )
+        nodes = continue_fiber(pairs, targets, init_steps=init_steps)
     except ContinuationError as exc:
         raise PathError(str(exc), stage=stage) from exc
     return nodes[1:]
 
 
-def _track_b1_leg(rep: SurfaceRep, cfg: PathConfig) -> list[SurfaceRep]:
+def _track_b1_leg(rep: SurfaceRep) -> list[SurfaceRep]:
     """Move B1 to 1; (A2, B2) tracks [A1, B1(t)]^-1 [A3, B3]^-1."""
     if rep.b1.dist(ONE) < 1e-15:
         return []
@@ -423,8 +409,8 @@ def _track_b1_leg(rep: SurfaceRep, cfg: PathConfig) -> list[SurfaceRep]:
     def targets(t: float) -> tuple[SU2]:
         return (commutator(a1, b1_path(t)).inverse() * y3inv,)
 
-    init_steps = max(8, step_count(speed, cfg.max_step))
-    nodes = _continuation(((rep.a2, rep.b2),), targets, init_steps, cfg, "move-b1")
+    init_steps = max(8, step_count(speed))
+    nodes = _continuation(((rep.a2, rep.b2),), targets, init_steps, "move-b1")
     return [replace(rep, b1=b1_path(t), a2=a2, b2=b2) for t, ((a2, b2),) in nodes]
 
 
@@ -432,7 +418,6 @@ def _dual_fiber_leg(
     rep: SurfaceRep,
     y_of_t: Callable[[float], SU2],
     speed: float,
-    cfg: PathConfig,
     stage: str,
 ) -> list[SurfaceRep]:
     """March (A3, B3) along [ , ] = Y(t) and (A2, B2) along Y(t)^-1, t: 0 -> 1.
@@ -447,9 +432,9 @@ def _dual_fiber_leg(
         y = y_of_t(t)
         return (y, y.inverse())
 
-    init_steps = max(4, step_count(speed, cfg.max_step))
+    init_steps = max(4, step_count(speed))
     pairs = ((rep.a3, rep.b3), (rep.a2, rep.b2))
-    nodes = _continuation(pairs, targets, init_steps, cfg, stage)
+    nodes = _continuation(pairs, targets, init_steps, stage)
     return [
         replace(rep, a3=a3, b3=b3, a2=a2, b2=b2) for _, ((a3, b3), (a2, b2)) in nodes
     ]
@@ -464,7 +449,7 @@ def _snap_to_angle(el: SU2, theta: float) -> SU2:
     return exp_axis_angle(el.axis(), theta)
 
 
-def _central_descent(rep: SurfaceRep, m: int, cfg: PathConfig) -> list[SurfaceRep]:
+def _central_descent(rep: SurfaceRep, m: int) -> list[SurfaceRep]:
     """Descend a central-component point (B1 = 1 already) to the trivial tuple.
 
     Each branch first reaches (A1, 1, commuting A2 B2, commuting A3 B3).
@@ -500,8 +485,8 @@ def _central_descent(rep: SurfaceRep, m: int, cfg: PathConfig) -> list[SurfaceRe
         a2, b2 = snap_commuting_pair(rep.a2, rep.b2)
         points.append(replace(rep, a2=a2, b2=b2, a3=a3, b3=b3))
     else:
-        points += _dual_fiber_leg(rep, merge[0], merge[1], cfg, merge[2])
-    points += _contract(points[-1], ("a3", "b3", "a2", "b2", "a1"), cfg)
+        points += _dual_fiber_leg(rep, *merge)
+    points += _contract(points[-1], ("a3", "b3", "a2", "b2", "a1"))
     return points
 
 
@@ -521,10 +506,10 @@ def _fix_path_points(
     label = classify_fix(rep, n, cfg.residual_tol)
     m = abs(n)
     points: list[SurfaceRep] = [rep]
-    points += _track_b1_leg(rep, cfg)
+    points += _track_b1_leg(rep)
 
     if label.is_central:
-        points += _central_descent(points[-1], m, cfg)
+        points += _central_descent(points[-1], m)
         points.append(trivial_rep())
         return label, points
 
@@ -536,7 +521,7 @@ def _fix_path_points(
     if math.sin(theta_k) > 1e-12:
         target_a1 = exp_axis_angle(E1, current.a1.angle())
         g = align_conjugator(current.a1, target_a1, trace_tol=1e-6)
-        points += [current.conjugate(h) for h in conjugators(g, cfg.max_step)]
+        points += [current.conjugate(h) for h in conjugators(g)]
         current = points[-1]
 
     # exact snaps: A1's angle, then X's angle, with a fiber polish
@@ -546,10 +531,10 @@ def _fix_path_points(
     )
     y_target = x_snapped * a1_new.inverse()
     a3, b3, _, ok3 = project_pair_to_fiber(
-        current.a3, current.b3, y_target, tol=_NODE_TOL
+        current.a3, current.b3, y_target, tol=NODE_TOL
     )
     a2, b2, _, ok2 = project_pair_to_fiber(
-        current.a2, current.b2, y_target.inverse(), tol=_NODE_TOL
+        current.a2, current.b2, y_target.inverse(), tol=NODE_TOL
     )
     if not (ok3 and ok2):
         raise PathError("post-snap fiber polish failed", stage="snap")
@@ -562,7 +547,7 @@ def _fix_path_points(
         if psi > 1e-12:
             a1_inv = current.a1.inverse()
             points += _dual_fiber_leg(
-                current, lambda t: x_path(t) * a1_inv, psi, cfg, "rotate-x"
+                current, lambda t: x_path(t) * a1_inv, psi, "rotate-x"
             )
 
     # within-fiber legs to the canonical pairs
@@ -581,29 +566,29 @@ def _fix_path_points(
 
 # -- canonical staged paths (torus system) -----------------------------------
 
-def _bridge_to_plus_one(n: int, cfg: PathConfig) -> list[TorusRep]:
+def _bridge_to_plus_one(n: int) -> list[TorusRep]:
     """Explicit nodes from (-1, trivial) to (1, trivial)."""
     triv = trivial_rep()
     if n == 0:
-        return _contract(TorusRep(MINUS_ONE, triv), ("t",), cfg)
+        return _contract(TorusRep(MINUS_ONE, triv), ("t",))
     m = abs(n)
     omega_angle = math.pi / m
-    steps = step_count((1 + m) * omega_angle, cfg.max_step)
+    steps = step_count((1 + m) * omega_angle)
     out: list[TorusRep] = []
     for i in range(1, steps + 1):
         a = exp_axis_angle(E1, omega_angle * i / steps)
         out.append(TorusRep(MINUS_ONE * a.power(-n), replace(triv, a1=a, b3=a)))
     # the family ends at T = +1 up to rounding
-    return out + _contract(TorusRep(ONE, out[-1].rep), ("b3", "a1"), cfg)
+    return out + _contract(TorusRep(ONE, out[-1].rep), ("b3", "a1"))
 
 
-def _all_commuting_descent(trep: TorusRep, cfg: PathConfig) -> list[TorusRep]:
+def _all_commuting_descent(trep: TorusRep) -> list[TorusRep]:
     """Descent for mutually commuting tuples with non-central T."""
     axis = trep.t.axis()
     snapped = SurfaceRep(*(torus_snap(el, axis) for el in trep.rep.elements()))
     start = TorusRep(trep.t, snapped)
     names = ("a3", "b3", "a2", "b2", "b1", "a1", "t")
-    return [start] + _contract(start, names, cfg, axis)
+    return [start] + _contract(start, names, axis)
 
 
 def _boundary_stratum_descent(trep: TorusRep, n: int, cfg: PathConfig) -> list[TorusRep]:
@@ -641,12 +626,12 @@ def _boundary_stratum_descent(trep: TorusRep, n: int, cfg: PathConfig) -> list[T
             b2=torus_snap(current.rep.b2, axis_t),
         )
     )
-    out += _contract(out[-1], ("a2", "b2"), cfg, axis_t)
+    out += _contract(out[-1], ("a2", "b2"), axis_t)
     # leg 3: move A1 (with B3 = A1) to omega with omega^n = s; T explicit
     u = rep.a1.axis()
     theta0 = rep.a1.angle()
     theta1 = 0.0 if s_sign > 0 else math.pi / abs(n)
-    steps = step_count((1 + abs(n)) * abs(theta0 - theta1), cfg.max_step)
+    steps = step_count((1 + abs(n)) * abs(theta0 - theta1))
     b1_inv = rep.b1.inverse()
     for i in range(1, steps + 1):
         a = exp_axis_angle(u, theta0 + (theta1 - theta0) * i / steps)
@@ -654,12 +639,12 @@ def _boundary_stratum_descent(trep: TorusRep, n: int, cfg: PathConfig) -> list[T
         out.append(TorusRep(t, replace(out[-1].rep, a1=a, b3=a)))
     # leg 4: B1 -> 1 (A3 tracks); T stays at +1
     b1_path, speed = geodesic_to_one(rep.b1, u)
-    steps = step_count(speed, cfg.max_step)
+    steps = step_count(speed)
     for i in range(1, steps + 1):
         node = b1_path(i / steps)
         out.append(TorusRep(ONE, replace(out[-1].rep, b1=node, a3=node)))
     # leg 5: contract the leftover pair A1 = B3 = omega
-    out += _contract(out[-1], ("b3", "a1"), cfg, u)
+    out += _contract(out[-1], ("b3", "a1"), u)
     return out[1:]
 
 
@@ -681,7 +666,7 @@ def canonical_torus_path(
         if not label.is_central:
             return _finish(points, "torus", n, label.text(), cfg)
         if eps_sign < 0:
-            points += _bridge_to_plus_one(n, cfg)
+            points += _bridge_to_plus_one(n)
     else:
         all_commuting = all(
             commutator(u, v).dist(ONE) < 10 * cfg.residual_tol
@@ -689,7 +674,7 @@ def canonical_torus_path(
             for v in trep.elements()[i + 1 :]
         )
         if all_commuting:
-            points += _all_commuting_descent(trep, cfg)
+            points += _all_commuting_descent(trep)
         else:
             points += _boundary_stratum_descent(trep, n, cfg)
     points.append(canonical_torus_representative(n, TORUS_CENTRAL))
@@ -730,7 +715,7 @@ def probe_path(
     def advance(a: Rep, b: Rep, frac: float) -> Rep:
         els = [geodesic(u, v, frac) for u, v in zip(a.elements(), b.elements())]
         proj = project_to_variety(
-            rebuild(els), n, system, tol=_NODE_TOL, max_iter=cfg.projection_iters
+            rebuild(els), n, system, tol=NODE_TOL, max_iter=cfg.projection_iters
         )
         if not proj.converged:
             raise PathError("projection off the interpolant failed", stage="probe")
@@ -748,9 +733,9 @@ def probe_path(
     points: list[Rep] = [r0]
     budget = 2**cfg.bisection_depth
     end = r1.elements()
-    while (remaining := step_between(points[-1].elements(), end)) > cfg.max_step:
+    while (remaining := step_between(points[-1].elements(), end)) > MAX_STEP:
         current = points[-1]
-        frac = min(1.0, 0.8 * cfg.max_step / remaining)
+        frac = min(1.0, 0.8 * MAX_STEP / remaining)
         for _ in range(cfg.bisection_depth):
             if budget == 0:
                 raise PathError("projection budget exhausted", stage="probe")
@@ -761,7 +746,7 @@ def probe_path(
                 frac *= 0.5
                 continue
             step = step_between(current.elements(), nxt.elements())
-            if step <= cfg.max_step and (
+            if step <= MAX_STEP and (
                 step_between(nxt.elements(), end) < remaining - 0.25 * step
             ):
                 points.append(nxt)
@@ -861,7 +846,7 @@ class CensusReport:
 
 # A census sample's own failures (ContinuationError and FiberConnectError
 # arrive as PathError); anything else, say a math domain error, is a bug.
-_SAMPLE_FAILURES = (PathError, ProjectionError, AlignmentError, Unclassifiable, ResidualError)
+_SAMPLE_FAILURES = (PathError, AlignmentError, Unclassifiable, ResidualError)
 
 
 def census(

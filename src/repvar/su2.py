@@ -41,6 +41,7 @@ __all__ = [
     "qmul",
     "torus_snap",
     "random_axis",
+    "MAX_STEP",
     "step_count",
     "contract_to_one",
     "conjugators",
@@ -277,12 +278,15 @@ def random_axis(rng: np.random.Generator) -> tuple[float, float, float]:
 
 # -- stepped paths ------------------------------------------------------------
 
-def step_count(dist: float, max_step: float) -> int:
-    """Fewest equal steps, at least one, that cover dist within max_step."""
-    return max(1, math.ceil(dist / max_step))
+MAX_STEP = 0.2  # per-coordinate geodesic step bound of every path (radians)
 
 
-def contract_to_one(el: SU2, max_step: float, axis=E1) -> list[SU2]:
+def step_count(dist: float) -> int:
+    """Fewest equal steps, at least one, that cover dist within MAX_STEP."""
+    return max(1, math.ceil(dist / MAX_STEP))
+
+
+def contract_to_one(el: SU2, axis=E1) -> list[SU2]:
     """Nodes after el down to 1 along its maximal torus, stepped.
 
     An element within 1e-12 of the center has no reliable axis of its own
@@ -293,21 +297,21 @@ def contract_to_one(el: SU2, max_step: float, axis=E1) -> list[SU2]:
         return []
     if math.sqrt(el.x**2 + el.y**2 + el.z**2) > 1e-12:
         axis = el.axis()
-    steps = step_count(theta, max_step)
+    steps = step_count(theta)
     return [exp_axis_angle(axis, theta * (1 - i / steps)) for i in range(1, steps + 1)]
 
 
-def conjugators(g: SU2, max_step: float) -> list[SU2]:
+def conjugators(g: SU2) -> list[SU2]:
     """Stepped one-parameter family from 1 (excluded) to g (included).
 
     Conjugating by consecutive members moves any element by at most
-    max_step; empty for central g, whose conjugation is the identity map.
+    MAX_STEP; empty for central g, whose conjugation is the identity map.
     """
     if g.is_central(1e-12):
         return []
     theta = g.angle()
     axis = g.axis()
-    steps = step_count(2.0 * theta, max_step)
+    steps = step_count(2.0 * theta)
     return [exp_axis_angle(axis, theta * i / steps) for i in range(1, steps + 1)]
 
 

@@ -38,7 +38,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .commutator import randomize_in_fiber, solve_commutator
+from .commutator import sample_fiber
 from .solvers import refine_elements
 from .su2 import MINUS_ONE, ONE, SU2, commutator, haar_random, qmul
 from .words import SURFACE_GENERATORS, Generator, evaluate, phi_substitution
@@ -309,14 +309,12 @@ def residual_array(points: Sequence[Rep], system: str, n: int) -> np.ndarray:
 def random_surface_rep(rng: np.random.Generator) -> SurfaceRep:
     """Haar-random admissible surface representation.
 
-    A1, B1, A2, B2 are Haar; (A3, B3) solves the commutator equation
-    forced by the relation and is then spread across its fiber by exact
-    randomizing moves.
+    A1, B1, A2, B2 are Haar; (A3, B3) is a random point of the
+    commutator fiber forced by the relation (sample_fiber).
     """
     a1, b1, a2, b2 = (haar_random(rng) for _ in range(4))
     c = (commutator(a1, b1) * commutator(a2, b2)).inverse()
-    a3, b3 = solve_commutator(c)
-    a3, b3 = randomize_in_fiber(a3, b3, rng)
+    a3, b3 = sample_fiber(c, rng)
     return SurfaceRep(a1, b1, a2, b2, a3, b3)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -124,6 +125,44 @@ def test_verify_cli(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert all(row["ok"] for row in doc["checks"])
+
+
+def test_verify_text_and_census_rows(capsys):
+    # --samples 1 adds a fix and a torus census row for every n up to --n
+    code, out, _ = run(capsys, "verify", "--n", "1", "--samples", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "PASS  substitution table matches twist composition"
+    assert lines[-1] == "ALL CHECKS PASSED"
+    for n in (0, 1):
+        for system in ("fix", "torus"):
+            row = f"PASS  n={n}: {system} census  (components 1/1, success 100.0%)"
+            assert row in lines
+    code, out, _ = run(capsys, "verify", "--n", "1", "--samples", "1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True and len(doc["checks"]) == len(lines) - 1
+    rows = [row for row in doc["checks"] if row["check"].endswith(" census")]
+    assert [row["check"] for row in rows] == [
+        "n=0: fix census", "n=0: torus census", "n=1: fix census", "n=1: torus census",
+    ]
+    assert all(
+        row["ok"] and row["detail"] == "components 1/1, success 100.0%" for row in rows
+    )
+
+
+def test_off_variety_file_fails_classify_and_probe(tmp_path, capsys):
+    on = tmp_path / "on.json"
+    off = tmp_path / "off.json"
+    run(capsys, "representative", "--n", "2", "--label", "+,0,1", "--out", str(on))
+    doc = json.loads(on.read_text())
+    assert doc["A"][0] == [1.0, 0.0, 0.0, 0.0]
+    doc["A"][0] = [math.cos(1e-3), math.sin(1e-3), 0.0, 0.0]  # A1 moved 1e-3 off 1
+    off.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "classify", str(off))
+    assert code == 1 and err.startswith("verification failure:")
+    code, _, err = run(capsys, "probe", str(off), str(on))
+    assert code == 1 and err.startswith("probe failed:")
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,20 @@ def test_solve_commutator_haar_targets():
         assert commutator(a, b).dist(c) < 1e-10
 
 
+def test_solve_commutator_near_the_center():
+    # within rounding of +-1, where arccos of the real part loses the angle
+    rng = np.random.default_rng(13)
+    distances = (1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6)
+    for pole in (ONE, MINUS_ONE):
+        for d in distances:
+            for _ in range(20):
+                axis = rng.standard_normal(3)
+                axis /= np.linalg.norm(axis)
+                c = pole * exp_axis_angle(axis, d)
+                a, b = solve_commutator(c)
+                assert commutator(a, b).dist(c) < 1e-14
+
+
 def test_fricke_trace_values():
     assert fricke_trace(2.0, 2.0, 2.0) == pytest.approx(2.0)
     assert fricke_trace(0.0, 0.0, 0.0) == pytest.approx(-2.0)
@@ -73,6 +87,10 @@ def test_sample_fiber():
     assert p1[0].dist(p2[0]) > 1e-3
     for a, b in (p1, p2):
         assert commutator(a, b).dist(c) < 1e-12
+    # within rounding of 1, where the fiber is nearly singular
+    c = exp_axis_angle(E1, 1e-9)
+    a, b = sample_fiber(c, rng)
+    assert commutator(a, b).dist(c) < 1e-14
 
 
 def test_minus_one_characterization_both_ways():
@@ -145,7 +163,7 @@ def test_connect_in_fiber_stays_in_fiber():
     for c in (haar_random(rng), MINUS_ONE):
         p0 = sample_fiber(c, rng)
         p1 = sample_fiber(c, rng)
-        path = connect_in_fiber(p0, p1, c, tol=1e-10, max_step=0.2)
+        path = connect_in_fiber(p0, p1, c)
         _assert_fiber_path(path, p0, p1, c)
 
 
@@ -159,7 +177,7 @@ def test_continue_fiber_two_pairs_snap_at_identity():
         y = geodesic(y0, ONE, t)
         return (y, y.inverse())
 
-    nodes = continue_fiber(pairs, targets, init_steps=4, tol=1e-10, max_step=0.2)
+    nodes = continue_fiber(pairs, targets, init_steps=4)
     assert nodes[0] == (0.0, pairs)
     assert nodes[-1][0] == 1.0
     for t, node in nodes:

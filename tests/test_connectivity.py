@@ -32,8 +32,9 @@ from repvar.connectivity import (
     verify_certificate,
 )
 from repvar import connectivity, varieties
-from repvar.commutator import ProjectionError, sample_fiber, solve_commutator
+from repvar.commutator import sample_fiber, solve_commutator
 from repvar.su2 import (
+    MAX_STEP,
     MINUS_ONE,
     ONE,
     SU2,
@@ -70,7 +71,7 @@ def test_probe_same_label_pair():
     cert = probe_path(r0, r1, "fix", 2, CFG)
     assert verify_certificate(cert).ok
     assert cert.label == label.text()
-    assert cert.max_step <= CFG.max_step + 1e-12
+    assert cert.max_step <= MAX_STEP + 1e-12
 
 
 def test_probe_refuses_mismatched_labels():
@@ -195,7 +196,7 @@ def test_antipodal_starts_detour_and_verify(system, n, start, end):
     path = canonical_path if system == "fix" else canonical_torus_path
     cert = path(start, n, CFG)
     assert verify_certificate(cert).ok
-    assert cert.max_step <= CFG.max_step + 1e-12
+    assert cert.max_step <= MAX_STEP + 1e-12
     assert cert.points[0].dist(start) < 1e-12
     assert cert.points[-1].dist(end) < 1e-9
 
@@ -378,7 +379,6 @@ def test_census_path_classes_count_unpathed_samples(monkeypatch):
     "error, counted",
     [
         (connectivity.PathError("refused for the test", stage="test"), True),
-        (ProjectionError("refused for the test"), True),
         (AlignmentError("refused for the test"), True),
         (Unclassifiable("refused for the test"), True),
         (ResidualError("refused for the test"), True),

@@ -136,19 +136,19 @@ def test_stepped_paths_respect_the_step_bound():
     axis = (0.0, 0.6, 0.8)
     # contraction: along u's torus, or along `axis` from -1
     for el, along in ((u, u.axis()), (MINUS_ONE, axis)):
-        nodes = contract_to_one(el, 0.2, axis)
+        nodes = contract_to_one(el, axis)
         assert nodes[-1].dist(ONE) < 1e-15
         for p, q in zip([el, *nodes], nodes):
             assert geodesic_distance(p, q) <= 0.2 + 1e-12
         for node in nodes[:-1]:
             assert max(abs(a - b) for a, b in zip(node.axis(), along)) < 1e-12
-    assert contract_to_one(ONE, 0.2) == []
+    assert contract_to_one(ONE) == []
     # conjugators: from 1 to g, each step moving a conjugate within the bound
-    hs = conjugators(g, 0.2)
+    hs = conjugators(g)
     assert hs[-1].dist(g) < 1e-12
     for h0, h1 in zip([ONE, *hs], hs):
         assert geodesic_distance(x.conjugate_by(h0), x.conjugate_by(h1)) <= 0.2 + 1e-12
-    assert conjugators(MINUS_ONE, 0.2) == []
+    assert conjugators(MINUS_ONE) == []
     # geodesic to 1: from -1 through the quarter turn, within the speed bound
     for start in (u, MINUS_ONE):
         path, speed = geodesic_to_one(start, axis)
