@@ -379,6 +379,8 @@ def test_census_path_classes_count_unpathed_samples(monkeypatch):
     "error, counted",
     [
         (connectivity.PathError("refused for the test", stage="test"), True),
+        # a failed projection arrives as a probe-stage PathError
+        (connectivity.PathError("projection failed", stage="probe"), True),
         (AlignmentError("refused for the test"), True),
         (Unclassifiable("refused for the test"), True),
         (ResidualError("refused for the test"), True),
