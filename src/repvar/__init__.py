@@ -44,7 +44,6 @@ from .connectivity import (
 from .su2 import (
     SU2,
     align_conjugator,
-    commutator,
     exp_axis_angle,
     geodesic,
     haar_random,

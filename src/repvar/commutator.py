@@ -103,6 +103,10 @@ def solve_commutator(c: SU2) -> Pair:
 
 # -- Newton projection onto a fiber ------------------------------------
 
+NODE_TOL = 1e-10  # residual target of every node a path projects
+_NEWTON_ITERS = 60  # Gauss-Newton iteration cap of project_pair_to_fiber
+
+
 def _quat(u: SU2) -> tuple[float, float, float, float]:
     return (u.w, u.x, u.y, u.z)
 
@@ -121,7 +125,6 @@ def project_pair_to_fiber(
     c: SU2,
     *,
     tol: float = 1e-12,
-    max_iter: int = 60,
 ) -> tuple[SU2, SU2, float, bool]:
     """Move (a, b) onto the fiber [A, B] = c by damped Gauss-Newton.
 
@@ -141,7 +144,7 @@ def project_pair_to_fiber(
 
     r, m = residual(a, b)
     best = float(np.linalg.norm(r))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERS):
         if best <= tol:
             return a, b, best, True
         mq = _quat(m)
@@ -229,8 +232,6 @@ def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
 
 
 # -- within-fiber connectivity -----------------------------------------
-
-NODE_TOL = 1e-10  # residual target of every node a path projects
 
 # A target this close to 1 counts as 1: pairs are snapped onto the
 # commuting stratum instead of projected onto a singular fiber.

@@ -23,9 +23,9 @@ Central-component points instead descend through the mutually-commuting
 stratum: snap to exactly-commuting tuples, contract along maximal tori,
 then contract A1.  Mapping-torus points with non-central T descend through
 the all-commuting stratum or, when T X^n is central, through an explicit
-family trading the angle of A1 against T.  A blind interpolate-and-project
-search (probe_path) is also provided; it may fail near the singular
-strata, where the staged routes remain available.
+family trading the angle of A1 against T (also the bridge from T = -1).
+A blind interpolate-and-project search (probe_path) is also provided; it
+may fail near the singular strata, where the staged routes remain available.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ from .varieties import (
     TorusRep,
     derived_x,
     project_to_variety,
+    read_json,
     rep_from_dict,
     rep_to_dict,
     residual_array,
@@ -346,11 +347,7 @@ def save_certificate(path: str | Path, cert: PathCertificate) -> None:
 
 
 def load_certificate(path: str | Path) -> PathCertificate:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return certificate_from_dict(data)
+    return certificate_from_dict(read_json(path))
 
 
 # -- staged legs ---------------------------------------------------------------
@@ -566,29 +563,46 @@ def _fix_path_points(
 
 # -- canonical staged paths (torus system) -----------------------------------
 
-def _bridge_to_plus_one(n: int) -> list[TorusRep]:
-    """Explicit nodes from (-1, trivial) to (1, trivial)."""
-    triv = trivial_rep()
-    if n == 0:
-        return _contract(TorusRep(MINUS_ONE, triv), ("t",))
-    m = abs(n)
-    omega_angle = math.pi / m
-    steps = step_count((1 + m) * omega_angle)
+def _snap_and_contract(trep: TorusRep, names: Sequence[str]) -> list[TorusRep]:
+    """Snap the named elements onto T's maximal torus, then contract them (T
+    too, when named) to 1 along it in turn; the snapped point comes first."""
+    axis = trep.t.axis()
+    snapped = {k: torus_snap(_element(trep, k), axis) for k in names if k != "t"}
+    start = _with(trep, **snapped)
+    return [start] + _contract(start, names, axis)
+
+
+def _trade_a1_against_t(rep: SurfaceRep, n: int, s_sign: int, axis) -> list[TorusRep]:
+    """Explicit nodes from rep (A3 = B1, B3 = A1, A2 = B2 = 1) to (1, trivial).
+
+    Moves A1 (with B3 = A1) about `axis` to omega with omega^n = s, T written
+    out as s B1 A1^-n B1^-1; then B1 (with A3 = B1) to 1 at T = 1; then
+    contracts A1 = B3.
+    """
+    s = ONE if s_sign > 0 else MINUS_ONE
+    theta0 = rep.a1.angle()
+    theta1 = 0.0 if s_sign > 0 else math.pi / abs(n)
+    steps = step_count((1 + abs(n)) * abs(theta0 - theta1))
+    b1_inv = rep.b1.inverse()
     out: list[TorusRep] = []
     for i in range(1, steps + 1):
-        a = exp_axis_angle(E1, omega_angle * i / steps)
-        out.append(TorusRep(MINUS_ONE * a.power(-n), replace(triv, a1=a, b3=a)))
+        a = exp_axis_angle(axis, theta0 + (theta1 - theta0) * i / steps)
+        rep = replace(rep, a1=a, b3=a)
+        out.append(TorusRep(s * (rep.b1 * a.power(-n) * b1_inv), rep))
     # the family ends at T = +1 up to rounding
-    return out + _contract(TorusRep(ONE, out[-1].rep), ("b3", "a1"))
+    b1_path, speed = geodesic_to_one(rep.b1, axis)
+    steps = step_count(speed)
+    for i in range(1, steps + 1):
+        node = b1_path(i / steps)
+        out.append(TorusRep(ONE, replace(out[-1].rep, b1=node, a3=node)))
+    return out + _contract(out[-1], ("b3", "a1"), axis)
 
 
-def _all_commuting_descent(trep: TorusRep) -> list[TorusRep]:
-    """Descent for mutually commuting tuples with non-central T."""
-    axis = trep.t.axis()
-    snapped = SurfaceRep(*(torus_snap(el, axis) for el in trep.rep.elements()))
-    start = TorusRep(trep.t, snapped)
-    names = ("a3", "b3", "a2", "b2", "b1", "a1", "t")
-    return [start] + _contract(start, names, axis)
+def _bridge_to_plus_one(n: int) -> list[TorusRep]:
+    """Explicit nodes from (-1, trivial) to (1, trivial)."""
+    if n == 0:
+        return _contract(TorusRep(MINUS_ONE, trivial_rep()), ("t",))
+    return _trade_a1_against_t(trivial_rep(), n, -1, E1)
 
 
 def _boundary_stratum_descent(trep: TorusRep, n: int, cfg: PathConfig) -> list[TorusRep]:
@@ -602,49 +616,19 @@ def _boundary_stratum_descent(trep: TorusRep, n: int, cfg: PathConfig) -> list[T
     if n == 0:
         raise PathError("no boundary stratum at n = 0", stage="boundary")
     rep = trep.rep
-    txn = trep.t * derived_x(rep).power(n)
-    gap, s_sign = central_gap(txn)
+    gap, s_sign = central_gap(trep.t * derived_x(rep).power(n))
     if gap > 10 * SNAP_BAND:
         raise PathError(
             f"T X^n at distance {gap:.2e} from the center: unrecognized stratum",
             stage="boundary",
         )
-    s = ONE if s_sign > 0 else MINUS_ONE
     out: list[TorusRep] = [trep]
-    # leg 1: (A3, B3) -> (B1, A1) within the fiber of [B1, A1]
     out += _fiber_leg(
         trep, ("a3", "b3"), (rep.b1, rep.a1), commutator(rep.b1, rep.a1), cfg,
         "boundary-leg1",
     )
-    # leg 2: snap and contract (A2, B2) along T's torus
-    axis_t = trep.t.axis()
-    current = out[-1]
-    out.append(
-        _with(
-            current,
-            a2=torus_snap(current.rep.a2, axis_t),
-            b2=torus_snap(current.rep.b2, axis_t),
-        )
-    )
-    out += _contract(out[-1], ("a2", "b2"), axis_t)
-    # leg 3: move A1 (with B3 = A1) to omega with omega^n = s; T explicit
-    u = rep.a1.axis()
-    theta0 = rep.a1.angle()
-    theta1 = 0.0 if s_sign > 0 else math.pi / abs(n)
-    steps = step_count((1 + abs(n)) * abs(theta0 - theta1))
-    b1_inv = rep.b1.inverse()
-    for i in range(1, steps + 1):
-        a = exp_axis_angle(u, theta0 + (theta1 - theta0) * i / steps)
-        t = s * (rep.b1 * a.power(-n) * b1_inv)
-        out.append(TorusRep(t, replace(out[-1].rep, a1=a, b3=a)))
-    # leg 4: B1 -> 1 (A3 tracks); T stays at +1
-    b1_path, speed = geodesic_to_one(rep.b1, u)
-    steps = step_count(speed)
-    for i in range(1, steps + 1):
-        node = b1_path(i / steps)
-        out.append(TorusRep(ONE, replace(out[-1].rep, b1=node, a3=node)))
-    # leg 5: contract the leftover pair A1 = B3 = omega
-    out += _contract(out[-1], ("b3", "a1"), u)
+    out += _snap_and_contract(out[-1], ("a2", "b2"))
+    out += _trade_a1_against_t(out[-1].rep, n, s_sign, rep.a1.axis())
     return out[1:]
 
 
@@ -674,7 +658,8 @@ def canonical_torus_path(
             for v in trep.elements()[i + 1 :]
         )
         if all_commuting:
-            points += _all_commuting_descent(trep)
+            names = ("a3", "b3", "a2", "b2", "b1", "a1", "t")
+            points += _snap_and_contract(trep, names)
         else:
             points += _boundary_stratum_descent(trep, n, cfg)
     points.append(canonical_torus_representative(n, TORUS_CENTRAL))
@@ -783,11 +768,22 @@ class CensusReport:
     seed: int
     closed_form: int
     labels_observed: tuple[str, ...]
-    estimated_components: int
-    path_classes: int
-    unresolved_samples: int
     label_anomalies: int
     rows: tuple[CensusRow, ...]
+
+    @property
+    def estimated_components(self) -> int:
+        return len(self.labels_observed)
+
+    @property
+    def unresolved_samples(self) -> int:
+        """Samples left without a verified certificate."""
+        return sum(r.samples - r.path_ok for r in self.rows)
+
+    @property
+    def path_classes(self) -> int:
+        """One class per label plus one per unresolved sample (see census)."""
+        return len(self.rows) + self.unresolved_samples
 
     @property
     def cross_label_certificates(self) -> int:
@@ -881,7 +877,6 @@ def census(
     observed: set[str] = set()
     rows: list[CensusRow] = []
     anomalies = 0
-    unresolved = 0
     for li, label in enumerate(labels):
         classified = 0
         path_ok = 0
@@ -895,7 +890,6 @@ def census(
                     rep = randomized_torus_representative(n, label, rng)
                     got = classify_torus(rep, n, cfg.residual_tol).text()
             except _SAMPLE_FAILURES:
-                unresolved += 1
                 continue
             classified += 1
             observed.add(got)
@@ -907,12 +901,9 @@ def census(
                 else:
                     cert = canonical_torus_path(rep, n, cfg)
             except _SAMPLE_FAILURES:
-                unresolved += 1
                 continue
-            if not verify_certificate(cert).ok:
-                unresolved += 1
-                continue
-            path_ok += 1
+            if verify_certificate(cert).ok:
+                path_ok += 1
         rows.append(CensusRow(label.text(), samples_per_label, classified, path_ok))
     return CensusReport(
         system=system,
@@ -921,9 +912,6 @@ def census(
         seed=seed,
         closed_form=closed,
         labels_observed=tuple(sorted(observed)),
-        estimated_components=len(observed),
-        path_classes=len(labels) + sum(r.samples - r.path_ok for r in rows),
-        unresolved_samples=unresolved,
         label_anomalies=anomalies,
         rows=tuple(rows),
     )

@@ -25,8 +25,6 @@ __all__ = [
     "J",
     "K",
     "E1",
-    "E2",
-    "E3",
     "commutator",
     "exp_axis_angle",
     "exp_tangent",
@@ -162,8 +160,6 @@ J = SU2(0.0, 0.0, 1.0, 0.0)
 K = SU2(0.0, 0.0, 0.0, 1.0)
 
 E1 = (1.0, 0.0, 0.0)
-E2 = (0.0, 1.0, 0.0)
-E3 = (0.0, 0.0, 1.0)
 
 
 def central_gap(u: SU2) -> tuple[float, int]:

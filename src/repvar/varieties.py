@@ -67,6 +67,7 @@ __all__ = [
     "rep_from_dict",
     "save_rep",
     "load_rep",
+    "read_json",
 ]
 
 
@@ -497,9 +498,13 @@ def save_rep(path: str | Path, rep: Rep, n: int) -> None:
     Path(path).write_text(json.dumps(rep_to_dict(rep, n)) + "\n")
 
 
-def load_rep(path: str | Path) -> tuple[int, Rep]:
+def read_json(path: str | Path):
+    """The JSON document in the file at path; ValueError naming it if invalid."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return rep_from_dict(data)
+
+
+def load_rep(path: str | Path) -> tuple[int, Rep]:
+    return rep_from_dict(read_json(path))

@@ -13,7 +13,8 @@ T_{gamma1} o T_{gamma2}^{-1} acts on the generators by
     a2 -> a2                   b2 -> b2
     a3 -> chi^n a3 chi^-n      b3 -> chi^n b3 chi^-n
 
-for n >= 0; negative powers are built by composing the inverse twist tables.
+for every integer n.  The map fixes chi and its inverse sends b1 to
+b1 a1^-1 chi, so induction on |n| gives the table for negative n as well.
 Concatenation is read left to right, and evaluation at a representation
 multiplies the generator images in the same order.
 """
@@ -116,9 +117,6 @@ class Word:
     def length(self) -> int:
         """Letter count of the reduced word."""
         return sum(abs(exp) for _, exp in self.syllables)
-
-    def generators(self) -> set[Generator]:
-        return {gen for gen, _ in self.syllables}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.syllables == other.syllables
@@ -263,28 +261,19 @@ def twist_gamma2_inverse() -> Substitution:
 def phi_substitution(n: int) -> Substitution:
     """Action of the n-th power of the bounding-pair map on the generators.
 
-    For n >= 0 this is the closed-form table (see the module docstring);
-    for n < 0 it is the |n|-fold composition of the substitution for the
-    inverse map T_{gamma2} o T_{gamma1}^{-1}, built from the twist tables.
+    The closed-form table of the module docstring, for every integer n.
     """
-    if n >= 0:
-        c = chi()
-        cn = c**n
-        cninv = cn.inverse()
-        a1 = Word.of(Generator.A1)
-        return Substitution(
-            {
-                Generator.A1: cn * a1 * cninv,
-                Generator.B1: Word.of(Generator.B1) * a1**n * cninv,
-                Generator.A3: cn * Word.of(Generator.A3) * cninv,
-                Generator.B3: cn * Word.of(Generator.B3) * cninv,
-            }
-        )
-    phi_inverse = compose_substitution(twist_gamma2(), twist_gamma1_inverse())
-    out = phi_inverse
-    for _ in range(-n - 1):
-        out = compose_substitution(phi_inverse, out)
-    return out
+    cn = chi() ** n
+    cninv = cn.inverse()
+    a1 = Word.of(Generator.A1)
+    return Substitution(
+        {
+            Generator.A1: cn * a1 * cninv,
+            Generator.B1: Word.of(Generator.B1) * a1**n * cninv,
+            Generator.A3: cn * Word.of(Generator.A3) * cninv,
+            Generator.B3: cn * Word.of(Generator.B3) * cninv,
+        }
+    )
 
 
 def evaluate(word: Word, images: Mapping[Generator, SU2]) -> SU2:

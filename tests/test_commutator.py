@@ -192,3 +192,10 @@ def test_continue_fiber_two_pairs_snap_at_identity():
             assert max(geodesic_distance(a0, a1), geodesic_distance(b0, b1)) <= 0.2
     # the pairs snap once the target reaches 1
     assert all(commutator(a, b).dist(ONE) < 1e-14 for a, b in nodes[-1][1])
+
+
+def test_package_attribute_is_the_submodule():
+    # the package re-exports no name that shadows its commutator submodule
+    import repvar.commutator as module
+
+    assert module.__name__ == "repvar.commutator"

@@ -147,12 +147,6 @@ def test_canonical_torus_path_flavors():
     assert verify_certificate(cert).ok
     assert cert.points[-1].dist(canonical_torus_representative(2, label)) < 1e-9
 
-    # central T = -1 needs the bridge to (1, trivial)
-    trep = TorusRep(MINUS_ONE, trivial_rep())
-    cert = canonical_torus_path(trep, 2, CFG)
-    assert verify_certificate(cert).ok
-    assert cert.points[-1].dist(TorusRep(ONE, trivial_rep())) < 1e-12
-
     # all-commuting tuple with non-central T
     axis = (0.0, 0.0, 1.0)
     tup = SurfaceRep(*(exp_axis_angle(axis, 0.3 * (i + 1)) for i in range(6)))
@@ -160,11 +154,32 @@ def test_canonical_torus_path_flavors():
     cert = canonical_torus_path(trep, 3, CFG)
     assert verify_certificate(cert).ok
 
-    # T X^n central with T non-central
-    trep = random_extended_fixed_sample(2, np.random.default_rng(12))
-    cert = canonical_torus_path(trep, 2, CFG)
+
+def _assert_descends_to_plus_one(cert, descent):
+    """cert verifies within the step bound; it and the descent's last node
+    end at (1, trivial)."""
+    plus_one = TorusRep(ONE, trivial_rep())
     assert verify_certificate(cert).ok
+    assert cert.max_step <= MAX_STEP + 1e-12
+    assert cert.points[-1].dist(plus_one) < 1e-12
+    assert descent[-1].dist(plus_one) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 2, 3, -4])
+def test_bridge_to_plus_one(n):
+    # central T = -1 needs the bridge to (1, trivial)
+    cert = canonical_torus_path(TorusRep(MINUS_ONE, trivial_rep()), n, CFG)
+    _assert_descends_to_plus_one(cert, connectivity._bridge_to_plus_one(n))
+
+
+@pytest.mark.parametrize("n, seed", [(2, 12), (3, 11), (-3, 12)])
+def test_boundary_stratum_descent(n, seed):
+    # T X^n central with T non-central; seed 11 draws s = 1, seed 12 s = -1
+    trep = random_extended_fixed_sample(n, np.random.default_rng(seed))
+    cert = canonical_torus_path(trep, n, CFG)
     assert cert.label == "central"
+    descent = connectivity._boundary_stratum_descent(trep, n, CFG)
+    _assert_descends_to_plus_one(cert, descent)
 
 
 def _antipodal_starts():
@@ -199,13 +214,6 @@ def test_antipodal_starts_detour_and_verify(system, n, start, end):
     assert cert.max_step <= MAX_STEP + 1e-12
     assert cert.points[0].dist(start) < 1e-12
     assert cert.points[-1].dist(end) < 1e-9
-
-
-def test_bridge_at_n_zero():
-    trep = TorusRep(MINUS_ONE, trivial_rep())
-    cert = canonical_torus_path(trep, 0, CFG)
-    assert verify_certificate(cert).ok
-    assert cert.points[-1].dist(TorusRep(ONE, trivial_rep())) < 1e-12
 
 
 def test_verify_rejects_corrupted_point():
@@ -372,7 +380,9 @@ def test_census_path_classes_count_unpathed_samples(monkeypatch):
     report = census(2, "fix", 3, 4, CFG)
     unpathed = sum(row.samples - row.path_ok for row in report.rows)
     assert unpathed == 3
+    assert report.unresolved_samples == 3
     assert report.path_classes == len(report.rows) + unpathed
+    assert report.estimated_components == len(report.labels_observed)
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,22 @@ def test_phi_matches_twist_composition():
     )
 
 
+@pytest.mark.parametrize(
+    "sign, step, k_max",
+    [
+        (1, compose_substitution(twist_gamma1(), twist_gamma2_inverse()), 8),
+        (-1, compose_substitution(twist_gamma2(), twist_gamma1_inverse()), 16),
+    ],
+    ids=["positive", "negative"],
+)
+def test_phi_closed_form_matches_twist_powers(sign, step, k_max):
+    # the one closed-form table against k-fold compositions of the twists
+    power = identity_substitution()
+    for k in range(1, k_max + 1):
+        power = compose_substitution(step, power)
+        assert phi_substitution(sign * k) == power, k
+
+
 def test_compose_substitution():
     s = phi_substitution(2)
     assert compose_substitution(identity_substitution(), s) == s
