@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -72,10 +71,6 @@ def _emit(doc: dict, lines: list[str], fmt: str) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _path_config(args: argparse.Namespace) -> PathConfig:
-    return PathConfig(residual_tol=args.tol, bisection_depth=args.depth)
 
 
 # -- commands ----------------------------------------------------------------
@@ -207,7 +202,7 @@ def cmd_probe(args) -> int:
         print("error: cannot probe between torus and surface representations", file=sys.stderr)
         return INPUT_ERROR
     system = "torus" if isinstance(r0, TorusRep) else "fix"
-    cfg = replace(_path_config(args), projection_iters=args.iters)
+    cfg = PathConfig(args.tol, args.depth, args.iters)
     try:
         cert = probe_path(r0, r1, system, n0, cfg)
     except LabelMismatchError as exc:
@@ -235,7 +230,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_census(args) -> int:
-    cfg = _path_config(args)
+    cfg = PathConfig(residual_tol=args.tol)
     reports = []
     ok = True
     lines = []
@@ -323,7 +318,7 @@ def _verify_checks(args):
                         bad = f"{label} classifier round-trip failed"
             yield (f"n={n}: representatives and round-trips", not bad, bad)
         if args.samples > 0:
-            cfg = _path_config(args)
+            cfg = PathConfig(residual_tol=tol)
             for system in ("fix", "torus"):
                 report = census(n, system, args.samples, args.seed, cfg)
                 detail = (
@@ -356,12 +351,6 @@ def cmd_verify(args) -> int:
 
 
 # -- parser ------------------------------------------------------------------
-
-def _add_path_flags(p: argparse.ArgumentParser, *, tol: float) -> None:
-    """The options _path_config reads."""
-    p.add_argument("--tol", type=float, default=tol, help="residual tolerance")
-    p.add_argument("--depth", type=int, default=12, help="bisection depth")
-
 
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument(
@@ -422,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="search for a path certificate between two files")
     p.add_argument("rep0", type=str)
     p.add_argument("rep1", type=str)
-    _add_path_flags(p, tol=1e-7)
+    p.add_argument("--tol", type=float, default=1e-7, help="residual tolerance")
+    p.add_argument("--depth", type=int, default=12, help="budget: 2**depth projections")
     p.add_argument("--iters", type=int, default=100, help="projection iterations")
     p.add_argument("--out", type=str, default="", help="output file (default: stdout)")
     p.set_defaults(func=cmd_probe)
@@ -431,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=_int_at_least(1), default=20, help="samples per label")
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    _add_path_flags(p, tol=1e-7)
+    p.add_argument("--tol", type=float, default=1e-7, help="residual tolerance")
     _add_format(p)
     p.set_defaults(func=cmd_census)
 
@@ -441,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_int_at_least(0), default=0, help="census samples per label (0: none)"
     )
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    _add_path_flags(p, tol=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
     _add_format(p)
     p.set_defaults(func=cmd_verify)
 

@@ -7,13 +7,12 @@ with tr(A) = tr(B) = tr(AB) = 0.  This module provides:
 * a closed-form section of mu (solve_commutator), built from a trace-zero
   normal form plus a conjugation, so canonical representatives are exact
   and reproducible;
-* a Newton projector onto a fiber with analytic Jacobian
-  (project_pair_to_fiber), the inner loop of all path tracking;
-* exact randomizing moves inside a fiber (randomize_in_fiber), which
-  spread the section into an exact fiber sampler (sample_fiber);
-* within-fiber path search (connect_in_fiber) and moving-fiber
-  continuation (continue_fiber).  Both are deterministic: they draw no
-  random numbers, so a path is a pure function of its inputs.
+* a Newton projector onto a fiber (project_pair_to_fiber);
+* the three exact moves inside a fiber (two twist flows, a conjugation),
+  which spread the section into an exact sampler (sample_fiber);
+* within-fiber paths (connect_in_fiber), a fixed schedule of those moves,
+  and moving-fiber continuation (continue_fiber).  Both are deterministic:
+  they draw no random numbers, so a path is a pure function of its inputs.
 
 Trace identity used as the algebraic oracle throughout:
 tr([A, B]) = tr(A)^2 + tr(B)^2 + tr(AB)^2 - tr(A) tr(B) tr(AB) - 2.
@@ -29,17 +28,20 @@ import numpy as np
 from .su2 import (
     E1,
     MAX_STEP,
+    MINUS_ONE,
     ONE,
     SU2,
     align_conjugator,
+    axis_rotation,
     commutator,
+    conjugators,
     contract_to_one,
     exp_axis_angle,
     exp_tangent,
-    geodesic,
     haar_random,
     qmul,
     step_between,
+    step_count,
     torus_snap,
 )
 
@@ -54,7 +56,6 @@ __all__ = [
     "continue_fiber",
     "NODE_TOL",
     "ContinuationError",
-    "FiberConnectError",
 ]
 
 Pair = tuple[SU2, SU2]
@@ -66,10 +67,6 @@ class ContinuationError(RuntimeError):
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} (t={t:.6f})")
         self.t = t
-
-
-class FiberConnectError(RuntimeError):
-    """No within-fiber path found at the configured bisection depth."""
 
 
 def fricke_trace(ta: float, tb: float, tab: float) -> float:
@@ -89,12 +86,12 @@ def solve_commutator(c: SU2) -> Pair:
     For c away from 1, take the trace-zero normal form A = i,
     B = -cos(theta/2) i + sin(theta/2) j with theta the angle of c (this
     gives tr([A, B]) = 2 cos(theta) by the trace identity), then conjugate
-    the pair so the commutator's axis matches c.  theta is an atan2, which
-    unlike arccos(Re c) stays accurate within rounding of +-1.
+    the pair so the commutator's axis matches c.  c.angle() is an atan2,
+    which unlike arccos(Re c) stays accurate within rounding of +-1.
     """
     if c.dist(ONE) < 1e-12:
         return (ONE, ONE)
-    theta = math.atan2(math.sqrt(c.x * c.x + c.y * c.y + c.z * c.z), c.w)
+    theta = c.angle()
     a = SU2(0.0, 1.0, 0.0, 0.0)
     b = SU2(0.0, -math.cos(theta / 2.0), math.sin(theta / 2.0), 0.0)
     g = align_conjugator(commutator(a, b), c, trace_tol=1e-8)
@@ -184,6 +181,20 @@ def project_pair_to_fiber(
     return a, b, best, best <= tol
 
 
+# -- the three exact moves inside a fiber -----------------------------
+
+def _twist(pair: Pair, which: int, z: SU2) -> Pair:
+    """Element `which` (0: A, 1: B) times z, which keeps [A, B] for z
+    commuting with the other element (Goldman's twist flow along its torus)."""
+    a, b = pair
+    return (a * z, b) if which == 0 else (a, b * z)
+
+
+def _conjugate(pair: Pair, g: SU2) -> Pair:
+    """The pair conjugated by g, which keeps [A, B] when g commutes with it."""
+    return (pair[0].conjugate_by(g), pair[1].conjugate_by(g))
+
+
 def _random_centralizer_element(u: SU2, rng: np.random.Generator) -> SU2:
     """A random element commuting with u (Haar when u is central)."""
     if u.is_central(1e-12):
@@ -192,22 +203,16 @@ def _random_centralizer_element(u: SU2, rng: np.random.Generator) -> SU2:
 
 
 def randomize_in_fiber(a: SU2, b: SU2, rng: np.random.Generator) -> Pair:
-    """Exact moves inside the fiber of [a, b].
-
-    Right multiplication of one component by an element of the other's
-    centralizer leaves the commutator unchanged, as does conjugating the
-    pair by anything commuting with the commutator value.  Composing the
-    three one-parameter families with random angles, in two rounds, spreads
-    a point across the fiber without leaving it.
-    """
+    """Exact moves inside the fiber of [a, b]: the two twists and a
+    conjugation by the commutator's centralizer, with random angles, in two
+    rounds spread a point across the fiber without leaving it."""
     c = commutator(a, b)
+    pair = (a, b)
     for _ in range(2):
-        b = b * _random_centralizer_element(a, rng)
-        a = a * _random_centralizer_element(b, rng)
-        g = _random_centralizer_element(c, rng)
-        a = a.conjugate_by(g)
-        b = b.conjugate_by(g)
-    return a, b
+        pair = _twist(pair, 1, _random_centralizer_element(pair[0], rng))
+        pair = _twist(pair, 0, _random_centralizer_element(pair[1], rng))
+        pair = _conjugate(pair, _random_centralizer_element(c, rng))
+    return pair
 
 
 def sample_fiber(c: SU2, rng: np.random.Generator) -> Pair:
@@ -236,6 +241,9 @@ def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
 # A target this close to 1 counts as 1: pairs are snapped onto the
 # commuting stratum instead of projected onto a singular fiber.
 _SNAP_ANGLE = 1e-6
+# A target this close to -1 counts as -1: its traces are rounding noise,
+# and conjugating its fiber by anything moves c by under 1e-13.
+_MINUS_ONE_BAND = 4e-14
 
 
 def _commuting_stratum_route(p0: Pair, p1: Pair) -> list[Pair]:
@@ -260,37 +268,74 @@ def _commuting_stratum_route(p0: Pair, p1: Pair) -> list[Pair]:
     return deduped
 
 
-def _bisect_in_fiber(left: Pair, right: Pair, c: SU2, depth: int) -> list[Pair]:
-    if step_between(left, right) <= MAX_STEP:
-        return [left, right]
-    if depth <= 0:
-        raise FiberConnectError("bisection depth exhausted")
-    try:
-        mid_a = geodesic(left[0], right[0], 0.5)
-        mid_b = geodesic(left[1], right[1], 0.5)
-    except ValueError as exc:  # antipodal coordinate
-        raise FiberConnectError(str(exc))
-    a, b, _, ok = project_pair_to_fiber(mid_a, mid_b, c, tol=NODE_TOL)
-    if not ok:
-        raise FiberConnectError("midpoint projection failed")
-    head = _bisect_in_fiber(left, (a, b), c, depth - 1)
-    tail = _bisect_in_fiber((a, b), right, c, depth - 1)
-    return head + tail[1:]
+def _trace_roots(u: SU2, axis, target: float) -> tuple[float, list[float]]:
+    """(r, roots) for tr(u exp(s axis)) = r cos(s - phi): the angles s in
+    [-pi, pi] where it meets target, shortest first, or comes nearest to it
+    when |target| > r."""
+    q = -2.0 * (u.x * axis[0] + u.y * axis[1] + u.z * axis[2])
+    r, phi = math.hypot(2.0 * u.w, q), math.atan2(q, 2.0 * u.w)
+    d = math.acos(max(-1.0, min(1.0, target / r))) if r > 0.0 else 0.0
+    return r, sorted((math.remainder(phi + e, math.tau) for e in (d, -d)), key=abs)
 
 
-def connect_in_fiber(p0: Pair, p1: Pair, c: SU2, *, depth: int = 12) -> list[Pair]:
+def _twist_leg(pair: Pair, which: int, s: float) -> list[Pair]:
+    """Nodes after `pair` as element `which` turns by s along the other's torus."""
+    axis = pair[1 - which].axis()
+    k = step_count(abs(s))
+    return [_twist(pair, which, exp_axis_angle(axis, s * i / k)) for i in range(1, k + 1)]
+
+
+def _turn_leg(pair: Pair, axis, psi: float) -> list[Pair]:
+    """Nodes after `pair` as conjugation turns it by psi about `axis`."""
+    return [_conjugate(pair, h) for h in conjugators(exp_axis_angle(axis, psi / 2.0))]
+
+
+def connect_in_fiber(p0: Pair, p1: Pair, c: SU2) -> list[Pair]:
     """A discrete path inside the fiber [A, B] = c joining p0 to p1.
 
     For c within angle 1e-6 of 1 the path runs through the commuting
-    stratum via (1, 1).  Otherwise it is a recursive midpoint bisection
-    from p0 to p1 with Newton re-projection of each midpoint; no random
-    numbers are drawn.  Every fiber of the commutator map is connected, so
-    failure indicates a search budget problem, and is raised as
-    FiberConnectError rather than hidden.
+    stratum via (1, 1).  Otherwise, as the fiber modulo c's centralizer is
+    a level set of (tr A, tr B, tr AB) (Goldman), it is a fixed schedule
+    of exact moves stepped within MAX_STEP: (1) only if tr A1 is beyond
+    A's reach, B twists along A's axis to tr B = 0, where it is widest;
+    (2) A twists along B's axis to tr A1; (3) B twists along A's axis to
+    match tr B1 and tr A1 B1; (4) a conjugation about c's axis lands on
+    p1.  Over -1 all traces are 0: align A's axis, then B about A1's.
+    No Newton step is taken, and the path ends on p1 itself.
     """
     if c.angle() < _SNAP_ANGLE:
         return _commuting_stratum_route(p0, p1)
-    return _bisect_in_fiber(p0, p1, c, depth)
+    (a, b), (a1, b1) = p0, p1
+    nodes = [p0]
+
+    def across(u: SU2) -> np.ndarray:  # u's vector part, across `axis`
+        v = np.array([u.x, u.y, u.z])
+        return v - np.dot(v, axis) * np.asarray(axis)
+
+    if c.dist(MINUS_ONE) < _MINUS_ONE_BAND:
+        rot = axis_rotation(a.axis(), a1.axis())
+        nodes += _turn_leg(p0, *rot) if rot else []
+        axis, far = a1.axis(), 1
+    else:
+        if _trace_roots(a, b.axis(), a1.trace)[0] < abs(a1.trace):
+            nodes += _twist_leg(p0, 1, _trace_roots(b, a.axis(), 0.0)[1][0])
+        a, b = nodes[-1]
+        nodes += _twist_leg(nodes[-1], 0, _trace_roots(a, b.axis(), a1.trace)[1][0])
+        a, b = nodes[-1]
+        a_axis, y1, z1 = a.axis(), b1.trace, (a1 * b1).trace
+
+        def mismatch(t: float) -> float:
+            z = exp_axis_angle(a_axis, t)
+            return abs((b * z).trace - y1) + abs((a * b * z).trace - z1)
+
+        roots = _trace_roots(b, a_axis, y1)[1] + _trace_roots(a * b, a_axis, z1)[1]
+        nodes += _twist_leg(nodes[-1], 1, min(roots, key=mismatch))
+        axis = c.axis()
+        far = max((0, 1), key=lambda i: np.linalg.norm(across(nodes[-1][i])))
+    # turn element `far` about `axis` onto p1's, across the axis
+    u, v = across(nodes[-1][far]), across(p1[far])
+    psi = math.atan2(float(np.dot(np.cross(u, v), axis)), float(np.dot(u, v)))
+    return nodes + _turn_leg(nodes[-1], axis, psi) + [p1]
 
 
 # -- moving-fiber continuation -----------------------------------------

@@ -41,7 +41,6 @@ import numpy as np
 from .commutator import (
     NODE_TOL,
     ContinuationError,
-    FiberConnectError,
     connect_in_fiber,
     continue_fiber,
     project_pair_to_fiber,
@@ -133,7 +132,7 @@ class PathConfig:
     """Budgets and bounds for path construction and acceptance."""
 
     residual_tol: float = 1e-7  # acceptance bound on per-point residuals
-    bisection_depth: int = 12
+    bisection_depth: int = 12  # probe_path's budget: 2**depth projection attempts
     projection_iters: int = 100
 
 
@@ -362,22 +361,10 @@ def _contract(rep: Rep, names: Sequence[str], axis=E1) -> list[Rep]:
     return out
 
 
-def _fiber_leg(
-    rep: Rep,
-    names: tuple[str, str],
-    end: tuple[SU2, SU2],
-    c: SU2,
-    cfg: PathConfig,
-    stage: str,
-) -> list[Rep]:
+def _fiber_leg(rep: Rep, names: tuple[str, str], end: tuple[SU2, SU2], c: SU2) -> list[Rep]:
     """Move the named pair of rep to `end` inside the fiber [ , ] = c."""
     a, b = names
-    try:
-        leg = connect_in_fiber(
-            (_element(rep, a), _element(rep, b)), end, c, depth=cfg.bisection_depth
-        )
-    except FiberConnectError as exc:
-        raise PathError(str(exc), stage=stage) from exc
+    leg = connect_in_fiber((_element(rep, a), _element(rep, b)), end, c)
     return [_with(rep, **{a: p, b: q}) for p, q in leg[1:]]
 
 
@@ -550,12 +537,9 @@ def _fix_path_points(
     # within-fiber legs to the canonical pairs
     target = canonical_representative(n, label)
     y_star = commutator(target.a3, target.b3)
+    points += _fiber_leg(points[-1], ("a3", "b3"), (target.a3, target.b3), y_star)
     points += _fiber_leg(
-        points[-1], ("a3", "b3"), (target.a3, target.b3), y_star, cfg, "fiber-endgame-3"
-    )
-    points += _fiber_leg(
-        points[-1], ("a2", "b2"), (target.a2, target.b2), y_star.inverse(), cfg,
-        "fiber-endgame-2",
+        points[-1], ("a2", "b2"), (target.a2, target.b2), y_star.inverse()
     )
     points.append(target)
     return label, points
@@ -605,7 +589,7 @@ def _bridge_to_plus_one(n: int) -> list[TorusRep]:
     return _trade_a1_against_t(trivial_rep(), n, -1, E1)
 
 
-def _boundary_stratum_descent(trep: TorusRep, n: int, cfg: PathConfig) -> list[TorusRep]:
+def _boundary_stratum_descent(trep: TorusRep, n: int) -> list[TorusRep]:
     """Descent for tuples with T X^n central but T non-central.
 
     On this stratum [A3, B3] = [B1, A1] and T = s B1 A1^-n B1^-1; the path
@@ -623,10 +607,7 @@ def _boundary_stratum_descent(trep: TorusRep, n: int, cfg: PathConfig) -> list[T
             stage="boundary",
         )
     out: list[TorusRep] = [trep]
-    out += _fiber_leg(
-        trep, ("a3", "b3"), (rep.b1, rep.a1), commutator(rep.b1, rep.a1), cfg,
-        "boundary-leg1",
-    )
+    out += _fiber_leg(trep, ("a3", "b3"), (rep.b1, rep.a1), commutator(rep.b1, rep.a1))
     out += _snap_and_contract(out[-1], ("a2", "b2"))
     out += _trade_a1_against_t(out[-1].rep, n, s_sign, rep.a1.axis())
     return out[1:]
@@ -661,7 +642,7 @@ def canonical_torus_path(
             names = ("a3", "b3", "a2", "b2", "b1", "a1", "t")
             points += _snap_and_contract(trep, names)
         else:
-            points += _boundary_stratum_descent(trep, n, cfg)
+            points += _boundary_stratum_descent(trep, n)
     points.append(canonical_torus_representative(n, TORUS_CENTRAL))
     return _finish(points, "torus", n, TORUS_CENTRAL.text(), cfg)
 
@@ -840,8 +821,8 @@ class CensusReport:
         }
 
 
-# A census sample's own failures (ContinuationError and FiberConnectError
-# arrive as PathError); anything else, say a math domain error, is a bug.
+# A census sample's own failures (ContinuationError arrives as PathError);
+# anything else, say a math domain error, is a bug.
 _SAMPLE_FAILURES = (PathError, AlignmentError, Unclassifiable, ResidualError)
 
 

@@ -104,8 +104,10 @@ class SU2:
         return 2.0 * self.w
 
     def angle(self) -> float:
-        """Rotation angle arccos(w), clamped into [0, pi]."""
-        return math.acos(_clamp(self.w))
+        """Rotation angle in [0, pi], read as atan2(|v|, w): unlike arccos(w)
+        it resolves angles within rounding of 0 and pi."""
+        vn = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return math.atan2(vn, self.w)
 
     def axis(self) -> tuple[float, float, float]:
         """Unit 3-vector direction of the imaginary part.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repvar.commutator import (
 )
 from repvar.su2 import (
     E1,
+    MAX_STEP,
     MINUS_ONE,
     ONE,
     SU2,
@@ -22,6 +25,7 @@ from repvar.su2 import (
     geodesic,
     geodesic_distance,
     haar_random,
+    random_axis,
 )
 
 
@@ -148,23 +152,33 @@ def test_snap_commuting_pair():
 
 
 def _assert_fiber_path(path, p0, p1, c):
-    assert path[0][0].dist(p0[0]) < 1e-12 and path[0][1].dist(p0[1]) < 1e-12
-    assert path[-1][0].dist(p1[0]) < 1e-12 and path[-1][1].dist(p1[1]) < 1e-12
+    assert path[0] == p0 and path[-1] == p1
     for a, b in path:
-        assert commutator(a, b).dist(c) < 1e-9
+        assert commutator(a, b).dist(c) <= 1e-13
     for p, q in zip(path, path[1:]):
         assert max(
             geodesic_distance(p[0], q[0]), geodesic_distance(p[1], q[1])
-        ) <= 0.2 + 1e-12
+        ) <= MAX_STEP + 1e-12
 
 
-def test_connect_in_fiber_stays_in_fiber():
+def test_connect_in_fiber_stays_in_fiber(monkeypatch):
+    import repvar.commutator as module
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("connect_in_fiber projected a node")
+
+    monkeypatch.setattr(module, "project_pair_to_fiber", no_newton)
     rng = np.random.default_rng(6)
-    for c in (haar_random(rng), MINUS_ONE):
+    # a Haar target, the fiber over -1, and log-spaced angles above the
+    # snap angle up to pi, each joined to a sample and to its (-A, B) partner
+    targets = [haar_random(rng), MINUS_ONE] + [
+        exp_axis_angle(random_axis(rng), t) for t in np.geomspace(1.01e-6, math.pi, 12)
+    ]
+    for c in targets:
         p0 = sample_fiber(c, rng)
-        p1 = sample_fiber(c, rng)
-        path = connect_in_fiber(p0, p1, c)
-        _assert_fiber_path(path, p0, p1, c)
+        for p1 in (sample_fiber(c, rng), (-p0[0], p0[1])):
+            path = connect_in_fiber(p0, p1, c)
+            _assert_fiber_path(path, p0, p1, c)
 
 
 def test_continue_fiber_two_pairs_snap_at_identity():

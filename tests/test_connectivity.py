@@ -178,7 +178,7 @@ def test_boundary_stratum_descent(n, seed):
     trep = random_extended_fixed_sample(n, np.random.default_rng(seed))
     cert = canonical_torus_path(trep, n, CFG)
     assert cert.label == "central"
-    descent = connectivity._boundary_stratum_descent(trep, n, CFG)
+    descent = connectivity._boundary_stratum_descent(trep, n)
     _assert_descends_to_plus_one(cert, descent)
 
 
@@ -324,9 +324,14 @@ def test_path_construction_draws_no_random_numbers(monkeypatch):
 
 
 def test_verify_rejects_understated_bounds():
+    # a probe certificate: its interior points are Newton-made, so some
+    # residual stands above the verifier's 1e-14 slack and an understated
+    # bound shows (exact staged paths can sit wholly inside that slack)
     rng = np.random.default_rng(16)
     rep = randomized_representative(2, ComponentLabel("+", 1, 0), rng)
-    cert = canonical_path(rep, 2, CFG)
+    rep1 = rep.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.5))
+    cert = probe_path(rep, rep1, "fix", 2, CFG)
+    assert cert.max_residual > 1e-13
     doc = certificate_to_dict(cert)
     doc["max_residual"] = 1e-300
     assert not verify_certificate(certificate_from_dict(doc)).ok

@@ -76,6 +76,15 @@ def test_exp_axis_angle():
         exp_axis_angle((1.0, 1.0, 0.0), 0.5)
 
 
+def test_angle_resolves_rotations_near_the_center():
+    # arccos(w) reads a 1e-9 rotation as 0.0; atan2(|v|, w) does not
+    assert exp_axis_angle(E1, 1e-9).angle() == pytest.approx(1e-9, rel=1e-12)
+    assert math.pi - exp_axis_angle(E1, math.pi - 1e-9).angle() == pytest.approx(
+        1e-9, rel=1e-6
+    )
+    assert ONE.angle() == 0.0 and MINUS_ONE.angle() == math.pi
+
+
 def test_power_exact_angle_scaling():
     u = exp_axis_angle(E1, 0.3)
     assert u.power(7).dist(exp_axis_angle(E1, 2.1)) < 1e-12
