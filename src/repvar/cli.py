@@ -202,7 +202,7 @@ def cmd_probe(args) -> int:
         print("error: cannot probe between torus and surface representations", file=sys.stderr)
         return INPUT_ERROR
     system = "torus" if isinstance(r0, TorusRep) else "fix"
-    cfg = PathConfig(args.tol, args.depth, args.iters)
+    cfg = PathConfig(args.tol, args.depth)
     try:
         cert = probe_path(r0, r1, system, n0, cfg)
     except LabelMismatchError as exc:
@@ -413,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep1", type=str)
     p.add_argument("--tol", type=float, default=1e-7, help="residual tolerance")
     p.add_argument("--depth", type=int, default=12, help="budget: 2**depth projections")
-    p.add_argument("--iters", type=int, default=100, help="projection iterations")
     p.add_argument("--out", type=str, default="", help="output file (default: stdout)")
     p.set_defaults(func=cmd_probe)
 

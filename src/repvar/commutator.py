@@ -7,12 +7,15 @@ with tr(A) = tr(B) = tr(AB) = 0.  This module provides:
 * a closed-form section of mu (solve_commutator), built from a trace-zero
   normal form plus a conjugation, so canonical representatives are exact
   and reproducible;
-* a Newton projector onto a fiber (project_pair_to_fiber);
+* a least-squares projector onto a fiber (project_pair_to_fiber), which
+  only the canonical path's post-snap polish uses;
 * the three exact moves inside a fiber (two twist flows, a conjugation),
   which spread the section into an exact sampler (sample_fiber);
 * within-fiber paths (connect_in_fiber), a fixed schedule of those moves,
-  and moving-fiber continuation (continue_fiber).  Both are deterministic:
-  they draw no random numbers, so a path is a pure function of its inputs.
+  and moving-fiber continuation (continue_fiber), which walks to the
+  section and follows it in a turning frame.  The nodes of both are exact
+  up to rounding, and both are deterministic: they draw no random numbers,
+  so a path is a pure function of its inputs.
 
 Trace identity used as the algebraic oracle throughout:
 tr([A, B]) = tr(A)^2 + tr(B)^2 + tr(AB)^2 - tr(A) tr(B) tr(AB) - 2.
@@ -25,8 +28,11 @@ from typing import Callable
 
 import numpy as np
 
+from .solvers import refine_elements, tangent_jacobian
 from .su2 import (
     E1,
+    I,
+    K,
     MAX_STEP,
     MINUS_ONE,
     ONE,
@@ -37,9 +43,8 @@ from .su2 import (
     conjugators,
     contract_to_one,
     exp_axis_angle,
-    exp_tangent,
     haar_random,
-    qmul,
+    qcommutator,
     step_between,
     step_count,
     torus_snap,
@@ -80,105 +85,50 @@ def fricke_trace(ta: float, tb: float, tab: float) -> float:
     return ta * ta + tb * tb + tab * tab - ta * tb * tab - 2.0
 
 
+def _normal_form(theta: float) -> Pair:
+    """A = i, B = -cos(theta/2) i + sin(theta/2) j: both of trace zero, with
+    [A, B] = cos(theta) + sin(theta) k."""
+    return I, SU2(0.0, -math.cos(theta / 2.0), math.sin(theta / 2.0), 0.0)
+
+
 def solve_commutator(c: SU2) -> Pair:
     """A pair (A, B) with [A, B] = c, exact up to rounding.
 
-    For c away from 1, take the trace-zero normal form A = i,
-    B = -cos(theta/2) i + sin(theta/2) j with theta the angle of c (this
-    gives tr([A, B]) = 2 cos(theta) by the trace identity), then conjugate
-    the pair so the commutator's axis matches c.  c.angle() is an atan2,
-    which unlike arccos(Re c) stays accurate within rounding of +-1.
+    For c away from 1, take the normal form at the angle theta of c (by
+    the trace identity tr([A, B]) = 2 cos(theta)), then conjugate the pair
+    so the commutator's axis matches c.  c.angle() is an atan2, which
+    unlike arccos(Re c) stays accurate within rounding of +-1.
     """
     if c.dist(ONE) < 1e-12:
         return (ONE, ONE)
-    theta = c.angle()
-    a = SU2(0.0, 1.0, 0.0, 0.0)
-    b = SU2(0.0, -math.cos(theta / 2.0), math.sin(theta / 2.0), 0.0)
+    a, b = _normal_form(c.angle())
     g = align_conjugator(commutator(a, b), c, trace_tol=1e-8)
-    return (a.conjugate_by(g), b.conjugate_by(g))
+    return _conjugate((a, b), g)
 
 
-# -- Newton projection onto a fiber ------------------------------------
+# -- least-squares projection onto a fiber ------------------------------
 
 NODE_TOL = 1e-10  # residual target of every node a path projects
-_NEWTON_ITERS = 60  # Gauss-Newton iteration cap of project_pair_to_fiber
-
-
-def _quat(u: SU2) -> tuple[float, float, float, float]:
-    return (u.w, u.x, u.y, u.z)
-
-
-def _qconj_by(g, v):
-    gw, gx, gy, gz = g
-    return qmul(qmul(g, v), (gw, -gx, -gy, -gz))
-
-
-_BASIS = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
 def project_pair_to_fiber(
-    a: SU2,
-    b: SU2,
-    c: SU2,
-    *,
-    tol: float = 1e-12,
+    a: SU2, b: SU2, c: SU2, *, tol: float = 1e-12
 ) -> tuple[SU2, SU2, float, bool]:
-    """Move (a, b) onto the fiber [A, B] = c by damped Gauss-Newton.
-
-    Tangent perturbations A <- exp(xi) A, B <- exp(eta) B have analytic
-    derivatives of the commutator:
-
-        dM(xi)  = (xi - Ad_{ABA^-1} xi) M
-        dM(eta) = (Ad_A eta) M - M eta
+    """Move (a, b) onto the fiber [A, B] = c with refine_elements.
 
     Returns (a, b, residual, converged); never raises.
     """
-    cq = np.array(_quat(c))
 
-    def residual(p: SU2, q: SU2) -> tuple[np.ndarray, SU2]:
-        m = commutator(p, q)
-        return np.array(_quat(m)) - cq, m
+    def gaps(q) -> np.ndarray:  # [A, B] - c, for quaternion 4-tuples q
+        return np.array([u - v for u, v in zip(qcommutator(*q), c.to_list())])
 
-    r, m = residual(a, b)
-    best = float(np.linalg.norm(r))
-    for _ in range(_NEWTON_ITERS):
-        if best <= tol:
-            return a, b, best, True
-        mq = _quat(m)
-        gq = _quat(m * b)  # A B A^-1
-        aq = _quat(a)
-        jac = np.empty((4, 6))
-        for i, e in enumerate(_BASIS):
-            ad = _qconj_by(gq, e)
-            col = qmul(
-                (e[0] - ad[0], e[1] - ad[1], e[2] - ad[2], e[3] - ad[3]), mq
-            )
-            jac[:, i] = col
-            ad = _qconj_by(aq, e)
-            left = qmul(ad, mq)
-            right = qmul(mq, e)
-            jac[:, 3 + i] = (
-                left[0] - right[0],
-                left[1] - right[1],
-                left[2] - right[2],
-                left[3] - right[3],
-            )
-        delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        scale = 1.0
-        improved = False
-        for _ in range(10):
-            pa = exp_tangent(scale * delta[0:3]) * a
-            pb = exp_tangent(scale * delta[3:6]) * b
-            rc, mc = residual(pa, pb)
-            nc = float(np.linalg.norm(rc))
-            if nc < best:
-                a, b, r, m, best = pa, pb, rc, mc, nc
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    return a, b, best, best <= tol
+    def jacobian(els: list[SU2]) -> np.ndarray:
+        return tangent_jacobian(gaps, els)
+
+    result = refine_elements(
+        (a, b), lambda els: gaps([el.to_list() for el in els]), jacobian, tol=tol
+    )
+    return (*result.elements, result.residual, result.converged)
 
 
 # -- the three exact moves inside a fiber -----------------------------
@@ -238,11 +188,13 @@ def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
 
 # -- within-fiber connectivity -----------------------------------------
 
-# A target this close to 1 counts as 1: pairs are snapped onto the
-# commuting stratum instead of projected onto a singular fiber.
-_SNAP_ANGLE = 1e-6
+# A fiber this close to 1 is joined through the commuting stratum.  The
+# twist schedule stays exact down to this angle, but within 1e-12 of 1
+# solve_commutator returns (1, 1), which is off the fiber.
+_SNAP_ANGLE = 1e-11
 # A target this close to -1 counts as -1: its traces are rounding noise,
-# and conjugating its fiber by anything moves c by under 1e-13.
+# and conjugating its fiber by anything moves c by under 1e-13.  Within it
+# of either central element, a target's axis is rounding noise as well.
 _MINUS_ONE_BAND = 4e-14
 
 
@@ -293,7 +245,7 @@ def _turn_leg(pair: Pair, axis, psi: float) -> list[Pair]:
 def connect_in_fiber(p0: Pair, p1: Pair, c: SU2) -> list[Pair]:
     """A discrete path inside the fiber [A, B] = c joining p0 to p1.
 
-    For c within angle 1e-6 of 1 the path runs through the commuting
+    For c within angle 1e-11 of 1 the path runs through the commuting
     stratum via (1, 1).  Otherwise, as the fiber modulo c's centralizer is
     a level set of (tr A, tr B, tr AB) (Goldman), it is a fixed schedule
     of exact moves stepped within MAX_STEP: (1) only if tr A1 is beyond
@@ -340,50 +292,80 @@ def connect_in_fiber(p0: Pair, p1: Pair, c: SU2) -> list[Pair]:
 
 # -- moving-fiber continuation -----------------------------------------
 
-def _step_pair(pair: Pair, target: SU2) -> Pair | None:
-    """`pair` moved onto the fiber of `target`, or None when that fails."""
-    if target.angle() < _SNAP_ANGLE:
-        return snap_commuting_pair(*pair)
-    a, b, _, ok = project_pair_to_fiber(pair[0], pair[1], target, tol=NODE_TOL)
-    return (a, b) if ok else None
+def _section(c: SU2, frame: SU2) -> Pair:
+    """The normal form at c's angle conjugated by frame: on the fiber of c
+    whenever the frame carries k onto c's axis."""
+    return _conjugate(_normal_form(c.angle()), frame)
+
+
+def _turn_frame(frame: SU2, c: SU2) -> SU2:
+    """frame turned by the least rotation carrying its image of k onto c's axis."""
+    rot = axis_rotation(K.conjugate_by(frame).axis(), c.axis())
+    return frame if rot is None else exp_axis_angle(rot[0], rot[1] / 2.0) * frame
+
+
+def _section_step(pair: Pair, frame: SU2 | None, c0: SU2, c: SU2):
+    """(frame, start, node) of one pair as its target moves from c0 to c;
+    a pair without a frame (see continue_fiber) starts from the section
+    over c0 in c's frame, reached by a walk inside c0's fiber."""
+    if c.is_central(_MINUS_ONE_BAND):
+        return None, pair, pair if frame is None else _section(c, frame)
+    if frame is None:
+        frame = _turn_frame(ONE, c)
+        return frame, _section(c0, frame), _section(c, frame)
+    frame = _turn_frame(frame, c)
+    return frame, pair, _section(c, frame)
 
 
 def continue_fiber(
-    pairs: tuple[Pair, ...],
-    targets: Callable[[float], tuple[SU2, ...]],
-    *,
-    init_steps: int,
+    pairs: tuple[Pair, ...], targets: Callable[[float], tuple[SU2, ...]], *, init_steps: int
 ) -> list[tuple[float, tuple[Pair, ...]]]:
     """Track pairs along moving fibers [A_i, B_i] = targets(t)[i], t 0 -> 1.
 
-    Adaptive stepping: the parameter step halves when a warm-started
-    projection to NODE_TOL fails or any element moves farther than
-    MAX_STEP, and grows back on success, up to 1 / init_steps.  Targets
-    within angle 1e-6 of the identity are handled by snapping the pair
-    onto the exactly-commuting stratum instead of projecting against a
-    singular fiber.  No random numbers are drawn.  At most 4096 nodes.
-    Returns (t, pairs) nodes, starting with (0, pairs).
+    A pair rests while its target is within rounding of the center.  At
+    its first target off the center it walks (connect_in_fiber) inside its
+    current fiber to solve_commutator's normal form in a frame carrying k
+    onto that target's axis, then follows the section, the frame turning at
+    each node by the least rotation carrying its image of k onto the new
+    target's axis (a target back near the center ends the frame, and the
+    pair walks again when it leaves).  So every node is exact without a
+    Newton step.  The parameter step halves, down to float resolution,
+    while an element would move farther than MAX_STEP, and grows back up
+    to 1 / init_steps.  No random numbers; at most 4096 nodes.  Returns
+    (t, pairs) nodes from (0, pairs); a walk's nodes carry the t at which
+    it is taken.
     """
-    dt = 1.0 / init_steps
-    min_dt = 1.0 / (init_steps * 4096.0)
     nodes: list[tuple[float, tuple[Pair, ...]]] = [(0.0, tuple(pairs))]
-    t = 0.0
-    while t < 1.0 - 1e-15 and len(nodes) < 4096:
+
+    def walk(i: int, end: Pair, c: SU2, t: float) -> None:
+        now = nodes[-1][1]
+        for p in connect_in_fiber(now[i], end, c)[1:]:
+            nodes.append((t, now[:i] + (p,) + now[i + 1 :]))
+
+    here = targets(0.0)
+    frames: list[SU2 | None] = []
+    for i, (pair, c) in enumerate(zip(pairs, here)):
+        frame, start, _ = _section_step(pair, None, c, c)
+        frames.append(frame)
+        if frame is not None:
+            walk(i, start, c, 0.0)
+    t, dt = 0.0, 1.0 / init_steps
+    while t < 1.0 and len(nodes) < 4096:
         tn = min(t + dt, 1.0)
-        moved: list[Pair] = []
-        for pair, target in zip(nodes[-1][1], targets(tn)):
-            cand = _step_pair(pair, target)
-            if cand is None or step_between(pair, cand) > MAX_STEP:
-                break
-            moved.append(cand)
-        if len(moved) == len(pairs):
-            nodes.append((tn, tuple(moved)))
-            t = tn
+        there = targets(tn)
+        steps = [_section_step(*args) for args in zip(nodes[-1][1], frames, here, there)]
+        if all(step_between(start, node) <= MAX_STEP for _, start, node in steps):
+            for i, (frame, start, _) in enumerate(steps):
+                if frames[i] is None and frame is not None:
+                    walk(i, start, here[i], t)
+            nodes.append((tn, tuple(node for _, _, node in steps)))
+            frames = [frame for frame, _, _ in steps]
+            t, here = tn, there
             dt = min(dt * 1.5, 1.0 / init_steps)
         else:
             dt *= 0.5
-            if dt < min_dt:
+            if t + dt == t:
                 raise ContinuationError("continuation step underflow", t)
-    if t < 1.0 - 1e-15:
+    if t < 1.0:
         raise ContinuationError("node budget exhausted", t)
     return nodes

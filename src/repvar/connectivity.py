@@ -9,14 +9,16 @@ evidence channels (labels observed, path connections found) separately.
 
 Canonical paths are staged:
 
-1. move B1 to 1 while (A2, B2) tracks the commutator value forced by the
-   relation (a moving-fiber continuation);
+1. move B1 to 1 while (A2, B2) follows the closed-form section over the
+   commutator value forced by the relation (a moving-fiber continuation,
+   exact at every node);
 2. a global conjugation aligning A1's axis, followed by exact angle snaps
-   (residuals are conjugation invariant, so these legs are nearly free);
+   (residuals are conjugation invariant, so these legs are nearly free)
+   and a least-squares polish of the two pairs onto the snapped fibers;
 3. rotate X = [A3, B3] A1 at constant angle onto the reference axis,
-   continuing (A3, B3) and (A2, B2) through their moving fibers; off the
-   diagonal the moving target never crosses the identity, because
-   angle(X) != angle(A1) there;
+   moving (A3, B3) and (A2, B2) along the section over their moving
+   fibers; off the diagonal the moving target never crosses the identity,
+   because angle(X) != angle(A1) there;
 4. within-fiber legs to the canonical pair.
 
 Central-component points instead descend through the mutually-commuting
@@ -133,7 +135,6 @@ class PathConfig:
 
     residual_tol: float = 1e-7  # acceptance bound on per-point residuals
     bisection_depth: int = 12  # probe_path's budget: 2**depth projection attempts
-    projection_iters: int = 100
 
 
 class PathError(RuntimeError):
@@ -407,9 +408,9 @@ def _dual_fiber_leg(
     """March (A3, B3) along [ , ] = Y(t) and (A2, B2) along Y(t)^-1, t: 0 -> 1.
 
     B1 must already be 1, so the relation couples the two pairs through
-    Y(t) alone; `speed` bounds the speed of Y.  Where Y comes within the
-    continuation's snap angle of 1, both pairs snap onto the
-    exactly-commuting stratum.
+    Y(t) alone; `speed` bounds the speed of Y.  Both pairs follow the
+    closed-form section, which tends to a commuting pair (a, a^-1) as Y
+    tends to 1, so a leg that pulls Y to 1 ends on the commuting stratum.
     """
 
     def targets(t: float) -> tuple[SU2, SU2]:
@@ -680,9 +681,7 @@ def probe_path(
 
     def advance(a: Rep, b: Rep, frac: float) -> Rep:
         els = [geodesic(u, v, frac) for u, v in zip(a.elements(), b.elements())]
-        proj = project_to_variety(
-            rebuild(els), n, system, tol=NODE_TOL, max_iter=cfg.projection_iters
-        )
+        proj = project_to_variety(rebuild(els), n, system, tol=NODE_TOL)
         if not proj.converged:
             raise PathError("projection off the interpolant failed", stage="probe")
         text = _classify_text(proj.rep, system, n, cfg.residual_tol)
@@ -821,7 +820,9 @@ class CensusReport:
         }
 
 
-# A census sample's own failures (ContinuationError arrives as PathError);
+# A census sample's own failures: path errors (a continuation whose step
+# underflows or whose node budget runs out arrives as one, as does a failed
+# post-snap polish), alignment errors and the classifiers' refusals;
 # anything else, say a math domain error, is a bug.
 _SAMPLE_FAILURES = (PathError, AlignmentError, Unclassifiable, ResidualError)
 

@@ -2,13 +2,15 @@
 
 The engine minimizes a caller-supplied residual over products of unit
 quaternions, given its exact Jacobian in left tangent coordinates (column
-3i + a moves element i by the a-th imaginary unit).  Updates are tangent
-steps applied by left multiplication with exp of a pure quaternion, then
-renormalization (the retraction).  Levenberg-Marquardt damping grows when
-a step fails to reduce the residual.  The damped step is solved in the
-Jacobian's SVD basis without its near-null directions (the solution set's
-own tangents, gauge included), so it is the minimum-norm step and rounding
-in the residual does not push it along them.
+3i + a moves element i by the a-th imaginary unit), which tangent_jacobian
+builds by complex steps from a residual on quaternion 4-tuples.  Updates
+are tangent steps applied by left multiplication with exp of a pure
+quaternion, then renormalization (the retraction).  Levenberg-Marquardt
+damping grows when a step fails to reduce the residual.  The damped step
+is solved in the Jacobian's SVD basis without its near-null directions
+(the solution set's own tangents, gauge included), so it is the
+minimum-norm step and rounding in the residual does not push it along
+them.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import numpy as np
 
 from .su2 import SU2, exp_tangent
 
-__all__ = ["RefineResult", "refine_elements"]
+__all__ = ["RefineResult", "refine_elements", "tangent_jacobian"]
 
 ResidualFn = Callable[[list[SU2]], np.ndarray]
+
+_STEP = 1e-30  # f(x + i h v) = f(x) + i h f'(x) v + O(h^2): no cancellation
 
 # At the start of probe's projections every singular value lies above
 # 6e-7 s_max or, an exact null direction up to rounding, below 2e-13 s_max.
@@ -35,6 +39,25 @@ class RefineResult:
     residual: float
     converged: bool
     iterations: int
+
+
+def _tangent_steps(elements: Sequence[SU2]) -> np.ndarray:
+    """Shape (k, 4, 3k): in column 3i + a, element i is el + i h (e_a el), e_a
+    the a-th imaginary unit; `moved` writes out e_a el (qmul costs 6x as much)."""
+    q = np.array([el.to_list() for el in elements])
+    w, x, y, z = q.T
+    k = len(q)
+    steps = np.zeros((k, 4, k, 3), dtype=complex)
+    moved = np.array([[-x, w, -z, y], [-y, z, w, -x], [-z, -y, x, w]]).T
+    steps[range(k), :, range(k)] = 1j * _STEP * moved
+    return q[:, :, None] + steps.reshape(k, 4, 3 * k)
+
+
+def tangent_jacobian(gaps: Callable, elements: Sequence[SU2]) -> np.ndarray:
+    """Jacobian, in the left tangent coordinates of refine_elements, of a
+    residual written as gaps(q), q the elements' quaternion 4-tuples and
+    gaps analytic in them: one complex-step run over all 3k directions."""
+    return np.asarray(gaps(_tangent_steps(elements))).imag / _STEP
 
 
 def _retract(elements: list[SU2], delta: np.ndarray) -> list[SU2]:

@@ -37,6 +37,8 @@ __all__ = [
     "central_gap",
     "axis_rotation",
     "qmul",
+    "qinv",
+    "qcommutator",
     "torus_snap",
     "random_axis",
     "MAX_STEP",
@@ -181,6 +183,16 @@ def qmul(a, b):
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     )
+
+
+def qinv(a):
+    """Inverse of a unit quaternion 4-tuple (its conjugate)."""
+    return (a[0], -a[1], -a[2], -a[3])
+
+
+def qcommutator(a, b):
+    """a b a^-1 b^-1 for unit quaternion 4-tuples, not renormalized."""
+    return qmul(qmul(qmul(a, b), qinv(a)), qinv(b))
 
 
 def torus_snap(el: SU2, axis) -> SU2:

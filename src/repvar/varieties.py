@@ -39,8 +39,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .commutator import sample_fiber
-from .solvers import refine_elements
-from .su2 import MINUS_ONE, ONE, SU2, commutator, haar_random, qmul
+from .solvers import refine_elements, tangent_jacobian
+from .su2 import MINUS_ONE, ONE, SU2, commutator, haar_random, qcommutator, qinv, qmul
 from .words import SURFACE_GENERATORS, Generator, evaluate, phi_substitution
 
 __all__ = [
@@ -191,25 +191,14 @@ _ARRAY_OPS = (np.sqrt, np.arctan2, np.sin, np.cos, np.where, _qpow)
 _COMPLEX_OPS = (np.sqrt, _complex_atan2, np.sin, np.cos, np.where, _qpow_from_nearer_pole)
 _ONE_Q = (1.0, 0.0, 0.0, 0.0)
 
-_STEP = 1e-30  # f(x + i h v) = f(x) + i h f'(x) v + O(h^2): no cancellation
-
 # below this many points a batch is cheaper point by point on floats
 _BATCH_MIN = 8
 
 
-def _qinv(a):
-    w, x, y, z = a
-    return (w, -x, -y, -z)
-
-
-def _qcomm(a, b):
-    return qmul(qmul(qmul(a, b), _qinv(a)), _qinv(b))
-
-
 def _relator(a1, b1, a2, b2, a3, b3):
     """[A1,B1][A2,B2][A3,B3], together with its last factor [A3,B3]."""
-    c3 = _qcomm(a3, b3)
-    return qmul(qmul(_qcomm(a1, b1), _qcomm(a2, b2)), c3), c3
+    c3 = qcommutator(a3, b3)
+    return qmul(qmul(qcommutator(a1, b1), qcommutator(a2, b2)), c3), c3
 
 
 def _fix_terms(q, n: int, ops):
@@ -232,11 +221,11 @@ def _torus_terms(q, n: int, ops):
     power = ops[5]
     xn = power(qmul(c3, a1), n, ops)
     txn = qmul(t, xn)
-    b1_lhs = qmul(qmul(qmul(_qinv(b1), _qinv(t)), b1), t)
+    b1_lhs = qmul(qmul(qmul(qinv(b1), qinv(t)), b1), t)
     return (
         ("relator", rel, _ONE_Q),
         ("a1", qmul(a1, txn), qmul(txn, a1)),
-        ("b1", b1_lhs, qmul(power(a1, n, ops), _qinv(xn))),
+        ("b1", b1_lhs, qmul(power(a1, n, ops), qinv(xn))),
         ("a2", qmul(a2, t), qmul(t, a2)),
         ("b2", qmul(b2, t), qmul(t, b2)),
         ("a3", qmul(a3, txn), qmul(txn, a3)),
@@ -329,28 +318,19 @@ class VarietyProjection:
     iterations: int
 
 
-def _signed_residual(elements: Sequence[SU2], system: str, n: int) -> np.ndarray:
-    # signed 4-vector differences per equation, for the least-squares engine
-    terms = _TABLES[system]([(el.w, el.x, el.y, el.z) for el in elements], n, _FLOAT_OPS)
+def _table_gaps(quats, system: str, n: int, ops) -> np.ndarray:
+    terms = _TABLES[system](quats, n, ops)
     return np.array([u - v for _, lhs, rhs in terms for u, v in zip(lhs, rhs)])
 
 
-def _tangent_steps(elements: Sequence[SU2]) -> np.ndarray:
-    """Shape (k, 4, 3k): in column 3i + a, element i is el + i h (e_a el), e_a
-    the a-th imaginary unit; `moved` writes out e_a el (qmul costs 6x as much)."""
-    q = np.array([el.to_list() for el in elements])
-    w, x, y, z = q.T
-    k = len(q)
-    steps = np.zeros((k, 4, k, 3), dtype=complex)
-    moved = np.array([[-x, w, -z, y], [-y, z, w, -x], [-z, -y, x, w]]).T
-    steps[range(k), :, range(k)] = 1j * _STEP * moved
-    return q[:, :, None] + steps.reshape(k, 4, 3 * k)
+def _signed_residual(elements: Sequence[SU2], system: str, n: int) -> np.ndarray:
+    # signed 4-vector differences per equation, for the least-squares engine
+    return _table_gaps([el.to_list() for el in elements], system, n, _FLOAT_OPS)
 
 
 def _signed_jacobian(elements: Sequence[SU2], system: str, n: int) -> np.ndarray:
     # d _signed_residual / d tangent: one complex table run over all 3k directions
-    terms = _TABLES[system](_tangent_steps(elements), n, _COMPLEX_OPS)
-    return np.array([(u - v).imag for _, lhs, rhs in terms for u, v in zip(lhs, rhs)]) / _STEP
+    return tangent_jacobian(lambda q: _table_gaps(q, system, n, _COMPLEX_OPS), elements)
 
 
 def project_to_variety(
@@ -410,7 +390,7 @@ def solve_intertwiner(rep: SurfaceRep, n: int, tol: float = 1e-9) -> Intertwiner
 
     def gaps(t) -> np.ndarray:
         # pullback - T^-1 rho T per generator, for a quaternion 4-tuple t
-        conj = [qmul(qmul(_qinv(t), rho), t) for rho in originals]
+        conj = [qmul(qmul(qinv(t), rho), t) for rho in originals]
         return np.array([u - v for lhs, rhs in zip(pullback, conj) for u, v in zip(lhs, rhs)])
 
     best: IntertwinerResult | None = None
@@ -418,7 +398,7 @@ def solve_intertwiner(rep: SurfaceRep, n: int, tol: float = 1e-9) -> Intertwiner
         result = refine_elements(
             [start],
             lambda elements: gaps(elements[0].to_list()),
-            lambda elements: gaps(_tangent_steps(elements)[0]).imag / _STEP,
+            lambda elements: tangent_jacobian(lambda q: gaps(q[0]), elements),
             tol=min(tol * 1e-2, 1e-11),
             max_iter=60,
         )

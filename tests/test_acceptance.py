@@ -34,6 +34,7 @@ from repvar.connectivity import (
     census,
     certificate_from_dict,
     certificate_to_dict,
+    probe_path,
     verify_certificate,
 )
 from repvar.su2 import MINUS_ONE, ONE, SU2, commutator, exp_axis_angle, haar_random
@@ -175,12 +176,15 @@ def test_criterion_9_certificate_soundness():
     for cert in certs:
         assert verify_certificate(cert).ok
     # fuzz against a certificate whose bounds are genuinely active, so that
-    # understating them falsifies it
-    base = next(
-        c
-        for c in certs
-        if c.max_residual > 5e-12 and c.max_step > 1e-3 and c.n >= 2
-    )
+    # understating them falsifies it: a probe certificate, whose interior
+    # points are Newton-made (canonical paths are exact up to rounding, and
+    # their residuals can sit within the verifier's 1e-14 slack)
+    src = next(c for c in certs if c.n >= 2 and c.label != "central")
+    start = src.points[0]
+    end = start.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.5))
+    base = probe_path(start, end, "fix", src.n, cfg)
+    assert verify_certificate(base).ok
+    assert base.max_residual > 1e-13 and base.max_step > 1e-3
     wrong_label = (
         ComponentLabel("+", 0, 1) if base.label != "+,0,1" else ComponentLabel("+", 1, 0)
     )

@@ -172,7 +172,7 @@ def test_connect_in_fiber_stays_in_fiber(monkeypatch):
     # a Haar target, the fiber over -1, and log-spaced angles above the
     # snap angle up to pi, each joined to a sample and to its (-A, B) partner
     targets = [haar_random(rng), MINUS_ONE] + [
-        exp_axis_angle(random_axis(rng), t) for t in np.geomspace(1.01e-6, math.pi, 12)
+        exp_axis_angle(random_axis(rng), t) for t in np.geomspace(1.01e-11, math.pi, 17)
     ]
     for c in targets:
         p0 = sample_fiber(c, rng)
@@ -181,31 +181,48 @@ def test_connect_in_fiber_stays_in_fiber(monkeypatch):
             _assert_fiber_path(path, p0, p1, c)
 
 
-def test_continue_fiber_two_pairs_snap_at_identity():
-    # (A3, B3) over y(t) and (A2, B2) over y(t)^-1 as y(t) runs to 1
-    rng = np.random.default_rng(12)
-    y0 = haar_random(rng)
-    pairs = (sample_fiber(y0, rng), sample_fiber(y0.inverse(), rng))
+@pytest.mark.parametrize("end_angle", [1e-9, 0.0])
+def test_continue_fiber_nodes_are_exact(end_angle):
+    # (A3, B3) over y(t) and (A2, B2) over y(t)^-1 as y(t) runs from a Haar
+    # element to within end_angle of 1: every node, the walks onto the
+    # section at t = 0 included, lies on its fiber up to rounding
+    for seed in range(30):
+        rng = np.random.default_rng([12, seed])
+        y0 = haar_random(rng)
+        y1 = exp_axis_angle(random_axis(rng), end_angle)
+        pairs = (sample_fiber(y0, rng), sample_fiber(y0.inverse(), rng))
+
+        def targets(t):
+            y = geodesic(y0, y1, t)
+            return (y, y.inverse())
+
+        nodes = continue_fiber(pairs, targets, init_steps=4)
+        assert nodes[0] == (0.0, pairs)
+        assert nodes[-1][0] == 1.0
+        for t, node in nodes:
+            for (a, b), c in zip(node, targets(t)):
+                assert commutator(a, b).dist(c) <= 1e-14
+        for (_, p), (_, q) in zip(nodes, nodes[1:]):
+            for (a0, b0), (a1, b1) in zip(p, q):
+                assert max(geodesic_distance(a0, a1), geodesic_distance(b0, b1)) <= MAX_STEP + 1e-12
+
+
+def test_continue_fiber_rests_over_the_center():
+    # a commuting pair over a target that stays at 1 until t = 1/2 does not
+    # move; then it walks through the commuting stratum to the section and
+    # follows it, every node on its fiber
+    c1 = haar_random(np.random.default_rng(14))
+    pair = (exp_axis_angle(E1, 0.4), exp_axis_angle(E1, 1.3))
 
     def targets(t):
-        y = geodesic(y0, ONE, t)
-        return (y, y.inverse())
+        return (geodesic(ONE, c1, max(0.0, 2.0 * t - 1.0)),)
 
-    nodes = continue_fiber(pairs, targets, init_steps=4)
-    assert nodes[0] == (0.0, pairs)
+    nodes = continue_fiber((pair,), targets, init_steps=4)
+    resting = [node for t, node in nodes if t < 0.5]
+    assert len(resting) >= 2 and all(node == (pair,) for node in resting)
     assert nodes[-1][0] == 1.0
-    for t, node in nodes:
-        assert len(node) == 2
-        for (a, b), c in zip(node, targets(t)):
-            if c.angle() < 1e-6:
-                assert commutator(a, b).dist(ONE) < 1e-14
-            else:
-                assert commutator(a, b).dist(c) < 1e-9
-    for (_, p), (_, q) in zip(nodes, nodes[1:]):
-        for (a0, b0), (a1, b1) in zip(p, q):
-            assert max(geodesic_distance(a0, a1), geodesic_distance(b0, b1)) <= 0.2
-    # the pairs snap once the target reaches 1
-    assert all(commutator(a, b).dist(ONE) < 1e-14 for a, b in nodes[-1][1])
+    for t, ((a, b),) in nodes:
+        assert commutator(a, b).dist(targets(t)[0]) <= 1e-14
 
 
 def test_package_attribute_is_the_submodule():

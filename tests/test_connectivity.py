@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,65 @@ def test_canonical_path_randomized():
     target = canonical_representative(3, ComponentLabel("-", 0, 1))
     assert cert.points[-1].dist(target) < 1e-9
     assert cert.points[0].dist(rep) < 1e-12
+
+
+def test_moving_fiber_legs_take_no_newton_step(monkeypatch):
+    # project_pair_to_fiber calls counted by the continuation stage that
+    # makes them: the moving-fiber legs follow the closed-form section, so
+    # only the post-snap polish of _fix_path_points, outside them, calls it
+    from repvar import commutator as fiber_module
+
+    legs: list[str] = []
+    seen: set[str] = set()
+    calls: dict[str, int] = {}
+    continuation = connectivity._continuation
+    project = fiber_module.project_pair_to_fiber
+
+    def staged(pairs, targets, init_steps, stage):
+        legs.append(stage)
+        seen.add(stage)
+        try:
+            return continuation(pairs, targets, init_steps, stage)
+        finally:
+            legs.pop()
+
+    def counted(*args, **kwargs):
+        stage = legs[-1] if legs else sys._getframe(1).f_code.co_name
+        calls[stage] = calls.get(stage, 0) + 1
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "_continuation", staged)
+    for module in (fiber_module, connectivity):
+        monkeypatch.setattr(module, "project_pair_to_fiber", counted)
+    starts = [
+        (0, ComponentLabel(), [19, 0, 0, 0]),  # descend-n0
+        (3, ComponentLabel("+", 0, 1), [19, 3, 1, 0]),  # rotate-x
+        (2, ComponentLabel(), [19, 2, 4]),  # diagonal-merge
+        (2, ComponentLabel("+", 1, 0), [19, 2, 2, 0]),
+    ]
+    for n, label, seed in starts:
+        rep = randomized_representative(n, label, np.random.default_rng(seed))
+        assert verify_certificate(canonical_path(rep, n, CFG)).ok
+    trep = randomized_torus_representative(2, TorusLabel(-1, ComponentLabel("+", 1, 0)),
+                                           np.random.default_rng(11))
+    assert verify_certificate(canonical_torus_path(trep, 2, CFG)).ok
+    assert seen == {"move-b1", "rotate-x", "diagonal-merge", "descend-n0"}
+    assert set(calls) == {"_fix_path_points"}
+
+
+@pytest.mark.parametrize("n, sample", [(1, 38), (1, 62), (1, 71), (1, 79), (2, 6), (2, 15)])
+def test_blind_samples_path_and_verify(n, sample):
+    # label-blind starts: a Haar surface tuple projected onto the fixed-point
+    # set.  Their move-b1 targets end within 1e-6 of 1, where snapping the
+    # pair broke the relation or underflowed the continuation (38, 79, 6,
+    # 15), or pass and end within 1e-13 of it, where the frame must be
+    # dropped and taken again (62, 71)
+    rng = np.random.default_rng([7, sample])
+    proj = varieties.project_to_variety(random_surface_rep(rng), n, "fix", tol=1e-10, max_iter=200)
+    assert proj.converged
+    cert = canonical_path(proj.rep, n, CFG)
+    assert verify_certificate(cert).ok
+    assert cert.max_residual < 1e-9
 
 
 def test_canonical_path_abelian_stays_commuting():
