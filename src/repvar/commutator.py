@@ -4,11 +4,11 @@ The commutator map mu(A, B) = A B A^-1 B^-1 on SU(2) x SU(2) is onto, and
 every fiber is connected; the fiber over -1 is exactly the set of pairs
 with tr(A) = tr(B) = tr(AB) = 0.  This module provides:
 
-* a closed-form section of mu (solve_commutator), built from a trace-zero
-  normal form plus a conjugation, so canonical representatives are exact
-  and reproducible;
-* a least-squares projector onto a fiber (project_pair_to_fiber), which
-  only the canonical path's post-snap polish uses;
+* a closed-form section of mu (solve_commutator), a trace-zero normal
+  form turned by a frame onto c's axis, so canonical representatives are
+  exact and reproducible;
+* a least-squares projector onto a fiber (project_pair_to_fiber), a
+  library function that no path construction calls;
 * the three exact moves inside a fiber (two twist flows, a conjugation),
   which spread the section into an exact sampler (sample_fiber);
 * within-fiber paths (connect_in_fiber), a fixed schedule of those moves,
@@ -37,7 +37,6 @@ from .su2 import (
     MINUS_ONE,
     ONE,
     SU2,
-    align_conjugator,
     axis_rotation,
     commutator,
     conjugators,
@@ -59,7 +58,6 @@ __all__ = [
     "snap_commuting_pair",
     "connect_in_fiber",
     "continue_fiber",
-    "NODE_TOL",
     "ContinuationError",
 ]
 
@@ -91,25 +89,40 @@ def _normal_form(theta: float) -> Pair:
     return I, SU2(0.0, -math.cos(theta / 2.0), math.sin(theta / 2.0), 0.0)
 
 
+# A target this close to -1 counts as -1: its traces are rounding noise,
+# and conjugating its fiber by anything moves c by under 1e-13.  Within it
+# of either central element, a target's axis is rounding noise as well.
+_MINUS_ONE_BAND = 4e-14
+
+
+def _section(c: SU2, frame: SU2) -> Pair:
+    """The normal form at c's angle conjugated by frame: on the fiber of c
+    whenever the frame carries k onto c's axis."""
+    return _conjugate(_normal_form(c.angle()), frame)
+
+
+def _turn_frame(frame: SU2, c: SU2) -> SU2:
+    """frame turned by the least rotation carrying its image of k onto c's axis."""
+    rot = axis_rotation(K.conjugate_by(frame).axis(), c.axis())
+    return frame if rot is None else exp_axis_angle(rot[0], rot[1] / 2.0) * frame
+
+
 def solve_commutator(c: SU2) -> Pair:
     """A pair (A, B) with [A, B] = c, exact up to rounding.
 
-    For c away from 1, take the normal form at the angle theta of c (by
-    the trace identity tr([A, B]) = 2 cos(theta)), then conjugate the pair
-    so the commutator's axis matches c.  c.angle() is an atan2, which
+    For c away from 1, the section: the normal form at the angle theta of
+    c (by the trace identity tr([A, B]) = 2 cos(theta)) in the frame
+    turned from 1 onto c's axis, or in no frame within _MINUS_ONE_BAND of
+    -1, where that axis is rounding noise.  c.angle() is an atan2, which
     unlike arccos(Re c) stays accurate within rounding of +-1.
     """
     if c.dist(ONE) < 1e-12:
         return (ONE, ONE)
-    a, b = _normal_form(c.angle())
-    g = align_conjugator(commutator(a, b), c, trace_tol=1e-8)
-    return _conjugate((a, b), g)
+    frame = ONE if c.dist(MINUS_ONE) < _MINUS_ONE_BAND else _turn_frame(ONE, c)
+    return _section(c, frame)
 
 
 # -- least-squares projection onto a fiber ------------------------------
-
-NODE_TOL = 1e-10  # residual target of every node a path projects
-
 
 def project_pair_to_fiber(
     a: SU2, b: SU2, c: SU2, *, tol: float = 1e-12
@@ -146,8 +159,9 @@ def _conjugate(pair: Pair, g: SU2) -> Pair:
 
 
 def _random_centralizer_element(u: SU2, rng: np.random.Generator) -> SU2:
-    """A random element commuting with u (Haar when u is central)."""
-    if u.is_central(1e-12):
+    """A random element commuting with u (Haar when u is central, within
+    _MINUS_ONE_BAND, where its axis is rounding noise)."""
+    if u.is_central(_MINUS_ONE_BAND):
         return haar_random(rng)
     return exp_axis_angle(u.axis(), rng.uniform(-math.pi, math.pi))
 
@@ -192,10 +206,6 @@ def snap_commuting_pair(a: SU2, b: SU2) -> Pair:
 # twist schedule stays exact down to this angle, but within 1e-12 of 1
 # solve_commutator returns (1, 1), which is off the fiber.
 _SNAP_ANGLE = 1e-11
-# A target this close to -1 counts as -1: its traces are rounding noise,
-# and conjugating its fiber by anything moves c by under 1e-13.  Within it
-# of either central element, a target's axis is rounding noise as well.
-_MINUS_ONE_BAND = 4e-14
 
 
 def _commuting_stratum_route(p0: Pair, p1: Pair) -> list[Pair]:
@@ -291,18 +301,6 @@ def connect_in_fiber(p0: Pair, p1: Pair, c: SU2) -> list[Pair]:
 
 
 # -- moving-fiber continuation -----------------------------------------
-
-def _section(c: SU2, frame: SU2) -> Pair:
-    """The normal form at c's angle conjugated by frame: on the fiber of c
-    whenever the frame carries k onto c's axis."""
-    return _conjugate(_normal_form(c.angle()), frame)
-
-
-def _turn_frame(frame: SU2, c: SU2) -> SU2:
-    """frame turned by the least rotation carrying its image of k onto c's axis."""
-    rot = axis_rotation(K.conjugate_by(frame).axis(), c.axis())
-    return frame if rot is None else exp_axis_angle(rot[0], rot[1] / 2.0) * frame
-
 
 def _section_step(pair: Pair, frame: SU2 | None, c0: SU2, c: SU2):
     """(frame, start, node) of one pair as its target moves from c0 to c;

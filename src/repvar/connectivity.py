@@ -13,8 +13,9 @@ Canonical paths are staged:
    commutator value forced by the relation (a moving-fiber continuation,
    exact at every node);
 2. a global conjugation aligning A1's axis, followed by exact angle snaps
-   (residuals are conjugation invariant, so these legs are nearly free)
-   and a least-squares polish of the two pairs onto the snapped fibers;
+   of A1 and X (residuals are conjugation invariant, so these legs are
+   nearly free; the pairs stay where they are, within rounding of the
+   snapped fibers);
 3. rotate X = [A3, B3] A1 at constant angle onto the reference axis,
    moving (A3, B3) and (A2, B2) along the section over their moving
    fibers; off the diagonal the moving target never crosses the identity,
@@ -41,11 +42,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .commutator import (
-    NODE_TOL,
     ContinuationError,
     connect_in_fiber,
     continue_fiber,
-    project_pair_to_fiber,
     snap_commuting_pair,
 )
 from .components import (
@@ -76,8 +75,6 @@ from .su2 import (
     MINUS_ONE,
     ONE,
     SU2,
-    AlignmentError,
-    align_conjugator,
     axis_rotation,
     central_gap,
     commutator,
@@ -264,9 +261,10 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
     Uses only the residual table (one batched evaluation, which doubles as
     the classifiers' precondition) and the label readings: per-point
     residuals against the stated maximum, the stated maximum against the
-    stated tolerance, consecutive steps against the stated step bound, and
-    the label of every point, endpoints and interior alike, against the
-    stated label (an unclassifiable point is a problem).
+    stated tolerance, consecutive steps against the stated step bound, that
+    bound against MAX_STEP, and the label of every point, endpoints and
+    interior alike, against the stated label (an unclassifiable point is a
+    problem).
     """
     problems: list[str] = []
     pts = cert.points
@@ -276,6 +274,8 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         problems.append(
             f"stated residual bound {cert.max_residual:.3e} exceeds tolerance {cert.tol:.1e}"
         )
+    if cert.max_step > MAX_STEP + 1e-12:
+        problems.append(f"stated step bound {cert.max_step:.3f} exceeds MAX_STEP = {MAX_STEP}")
     residuals = residual_array(pts, cert.system, cert.n).max(axis=1)
     for i, r in enumerate(residuals):
         if r > cert.max_residual + 1e-14:
@@ -504,26 +504,17 @@ def _fix_path_points(
 
     # global conjugation aligning A1's axis with the reference axis
     if math.sin(theta_k) > 1e-12:
-        target_a1 = exp_axis_angle(E1, current.a1.angle())
-        g = align_conjugator(current.a1, target_a1, trace_tol=1e-6)
+        rot = axis_rotation(current.a1.axis(), E1)
+        g = ONE if rot is None else exp_axis_angle(rot[0], rot[1] / 2.0)
         points += [current.conjugate(h) for h in conjugators(g)]
         current = points[-1]
 
-    # exact snaps: A1's angle, then X's angle, with a fiber polish
+    # exact snaps: A1's angle, then X's angle
     a1_new = _snap_to_angle(current.a1, theta_k)
     x_snapped = _snap_to_angle(
         commutator(current.a3, current.b3) * a1_new, theta_l
     )
-    y_target = x_snapped * a1_new.inverse()
-    a3, b3, _, ok3 = project_pair_to_fiber(
-        current.a3, current.b3, y_target, tol=NODE_TOL
-    )
-    a2, b2, _, ok2 = project_pair_to_fiber(
-        current.a2, current.b2, y_target.inverse(), tol=NODE_TOL
-    )
-    if not (ok3 and ok2):
-        raise PathError("post-snap fiber polish failed", stage="snap")
-    current = replace(current, a1=a1_new, a2=a2, b2=b2, a3=a3, b3=b3)
+    current = replace(current, a1=a1_new)
     points.append(current)
 
     # rotate X onto the reference axis at constant angle
@@ -649,6 +640,9 @@ def canonical_torus_path(
 
 
 # -- blind interpolate-and-project search ------------------------------------
+
+NODE_TOL = 1e-10  # residual target of every point probe_path projects
+
 
 def probe_path(
     r0: Rep,
@@ -821,10 +815,9 @@ class CensusReport:
 
 
 # A census sample's own failures: path errors (a continuation whose step
-# underflows or whose node budget runs out arrives as one, as does a failed
-# post-snap polish), alignment errors and the classifiers' refusals;
-# anything else, say a math domain error, is a bug.
-_SAMPLE_FAILURES = (PathError, AlignmentError, Unclassifiable, ResidualError)
+# underflows or whose node budget runs out arrives as one) and the
+# classifiers' refusals; anything else, say a math domain error, is a bug.
+_SAMPLE_FAILURES = (PathError, Unclassifiable, ResidualError)
 
 
 def census(

@@ -32,8 +32,6 @@ __all__ = [
     "geodesic_distance",
     "step_between",
     "haar_random",
-    "align_conjugator",
-    "AlignmentError",
     "central_gap",
     "axis_rotation",
     "qmul",
@@ -343,10 +341,6 @@ def geodesic_to_one(u: SU2, way_axis) -> tuple[Callable[[float], SU2], float]:
     return path, 2.0 * max(geodesic_distance(u, mid), geodesic_distance(mid, ONE))
 
 
-class AlignmentError(ValueError):
-    """Raised when two elements cannot be conjugated onto each other."""
-
-
 def _orthogonal_axis(a: tuple[float, float, float]) -> tuple[float, float, float]:
     # smallest-index coordinate axis closest to orthogonal, then projected
     dots = [abs(a[0]), abs(a[1]), abs(a[2])]
@@ -371,25 +365,3 @@ def axis_rotation(a0, a1, tol: float = 1e-15):
     if cn < tol:
         return None if d > 0.0 else (_orthogonal_axis(a0), math.pi)
     return (cx / cn, cy / cn, cz / cn), math.atan2(cn, d)
-
-
-def align_conjugator(c0: SU2, c1: SU2, trace_tol: float = 1e-9) -> SU2:
-    """An element g with g * c0 * g^-1 = c1, for trace-equal c0, c1.
-
-    Conjugation rotates the axis and preserves the angle, so the
-    construction rotates axis(c0) onto axis(c1) about their cross product
-    (for anti-parallel axes: by pi about a deterministic orthogonal axis).
-    Raises AlignmentError when the traces differ beyond `trace_tol` or the
-    resulting conjugation fails to land on c1 within 1e-10.
-    """
-    if abs(c0.trace - c1.trace) > trace_tol:
-        raise AlignmentError(
-            f"traces {c0.trace!r} and {c1.trace!r} differ beyond {trace_tol}"
-        )
-    if c0.dist(c1) < 1e-12:
-        return ONE
-    rot = axis_rotation(c0.axis(), c1.axis())
-    g = ONE if rot is None else exp_axis_angle(rot[0], rot[1] / 2.0)
-    if c0.conjugate_by(g).dist(c1) > 1e-10:
-        raise AlignmentError("conjugation failed to align the pair within 1e-10")
-    return g

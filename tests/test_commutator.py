@@ -61,6 +61,19 @@ def test_solve_commutator_near_the_center():
                 assert commutator(a, b).dist(c) < 1e-14
 
 
+@pytest.mark.parametrize("d", [5e-14, 1e-13, 3e-13, 1e-12, 3e-12])
+def test_section_and_sampler_exact_near_minus_one(d):
+    # just outside the band where c counts as -1: the section turns its
+    # frame onto c's axis, and the sampler's conjugation stays on that
+    # axis instead of a Haar draw, so both meet c to rounding
+    rng = np.random.default_rng([14, int(d * 1e15)])
+    for _ in range(100):
+        c = MINUS_ONE * exp_axis_angle(random_axis(rng), d)
+        assert c.dist(MINUS_ONE) == pytest.approx(d, rel=1e-2)
+        for a, b in (solve_commutator(c), sample_fiber(c, rng)):
+            assert commutator(a, b).dist(c) < 1e-14
+
+
 def test_fricke_trace_values():
     assert fricke_trace(2.0, 2.0, 2.0) == pytest.approx(2.0)
     assert fricke_trace(0.0, 0.0, 0.0) == pytest.approx(-2.0)

@@ -35,15 +35,17 @@ from repvar.connectivity import (
 from repvar import connectivity, varieties
 from repvar.commutator import sample_fiber, solve_commutator
 from repvar.su2 import (
+    E1,
     MAX_STEP,
     MINUS_ONE,
     ONE,
     SU2,
-    AlignmentError,
     commutator,
     exp_axis_angle,
+    geodesic,
     haar_random,
     random_axis,
+    step_between,
 )
 from repvar.varieties import (
     SurfaceRep,
@@ -120,33 +122,28 @@ def test_canonical_path_randomized():
 
 
 def test_moving_fiber_legs_take_no_newton_step(monkeypatch):
-    # project_pair_to_fiber calls counted by the continuation stage that
-    # makes them: the moving-fiber legs follow the closed-form section, so
-    # only the post-snap polish of _fix_path_points, outside them, calls it
-    from repvar import commutator as fiber_module
-
-    legs: list[str] = []
+    # every moving-fiber leg runs, and no path construction calls the
+    # fiber projection or the least-squares engine: each node is exact
     seen: set[str] = set()
-    calls: dict[str, int] = {}
+    calls: list[str] = []
     continuation = connectivity._continuation
-    project = fiber_module.project_pair_to_fiber
 
     def staged(pairs, targets, init_steps, stage):
-        legs.append(stage)
         seen.add(stage)
-        try:
-            return continuation(pairs, targets, init_steps, stage)
-        finally:
-            legs.pop()
+        return continuation(pairs, targets, init_steps, stage)
 
-    def counted(*args, **kwargs):
-        stage = legs[-1] if legs else sys._getframe(1).f_code.co_name
-        calls[stage] = calls.get(stage, 0) + 1
-        return project(*args, **kwargs)
+    def counting(name):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"path construction called {name}")
+
+        return counted
 
     monkeypatch.setattr(connectivity, "_continuation", staged)
-    for module in (fiber_module, connectivity):
-        monkeypatch.setattr(module, "project_pair_to_fiber", counted)
+    for name in ("project_pair_to_fiber", "refine_elements"):
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("repvar") and hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name))
     starts = [
         (0, ComponentLabel(), [19, 0, 0, 0]),  # descend-n0
         (3, ComponentLabel("+", 0, 1), [19, 3, 1, 0]),  # rotate-x
@@ -160,7 +157,30 @@ def test_moving_fiber_legs_take_no_newton_step(monkeypatch):
                                            np.random.default_rng(11))
     assert verify_certificate(canonical_torus_path(trep, 2, CFG)).ok
     assert seen == {"move-b1", "rotate-x", "diagonal-merge", "descend-n0"}
-    assert set(calls) == {"_fix_path_points"}
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "init_steps, jump, message",
+    [(8192, False, "node budget exhausted"), (8, True, "continuation step underflow")],
+)
+def test_continuation_failures_report_t_and_stage(init_steps, jump, message):
+    # 4096 nodes, the start and 27 of a walk onto the section at t = 0
+    # among them, take steps of 1/8192 short of t = 0.5; a target whose
+    # angle jumps at t = 0.5 moves B of the section by 1 rad however small
+    # the step, down to the last float below 0.5
+    y0, y1 = exp_axis_angle(E1, 0.5), exp_axis_angle(E1, 2.5)
+    pair = sample_fiber(y0, np.random.default_rng(22))
+
+    def targets(t):
+        return ((y1 if t >= 0.5 else y0) if jump else geodesic(y0, y1, t),)
+
+    with pytest.raises(connectivity.PathError) as err:
+        connectivity._continuation((pair,), targets, init_steps, "rotate-x")
+    t = err.value.__cause__.t
+    assert err.value.stage == "rotate-x"
+    assert str(err.value) == f"[rotate-x] {message} (t={t:.6f})"
+    assert t == (math.nextafter(0.5, 0.0) if jump else (4096 - 28) / 8192)
 
 
 @pytest.mark.parametrize("n, sample", [(1, 38), (1, 62), (1, 71), (1, 79), (2, 6), (2, 15)])
@@ -400,6 +420,42 @@ def test_verify_rejects_understated_bounds():
     assert not verify_certificate(certificate_from_dict(doc)).ok
 
 
+def test_verify_rejects_step_bound_above_max_step():
+    # the two endpoints of a path, 2.45 rad apart, with that step stated
+    rep = randomized_representative(3, ComponentLabel("+", 0, 1), np.random.default_rng(5))
+    cert = canonical_path(rep, 3, CFG)
+    ends = (cert.points[0], cert.points[-1])
+    step = step_between(ends[0].elements(), ends[1].elements())
+    assert step > 2.4
+    report = verify_certificate(replace(cert, points=ends, max_step=step))
+    assert report.problems == (
+        f"stated step bound {step:.3f} exceeds MAX_STEP = {MAX_STEP}",
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: [doc], "certificate document must be a JSON object"),
+        (lambda doc: {**doc, "format": "pathcert-0"}, "format: expected 'pathcert-1', found 'pathcert-0'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "max_step"}, "max_step: missing"),
+        (lambda doc: {**doc, "system": "knot"}, "system: unknown 'knot'"),
+        (
+            lambda doc: {**doc, "points": [doc["points"][0], {**doc["points"][1], "A": [[1.0, 0.0]] * 3}]},
+            "points[1]: A[0]: expected a list of 4 floats",
+        ),
+        (lambda doc: {**doc, "system": "torus"}, "points[0]: wrong representation kind for system"),
+    ],
+    ids=["not-object", "format", "missing-key", "system", "bad-point", "kind"],
+)
+def test_certificate_from_dict_rejects_malformed_documents(mutate, message):
+    doc = certificate_to_dict(_sample_certificate("fix"))
+    certificate_from_dict(json.loads(json.dumps(doc)))
+    with pytest.raises(ValueError) as err:
+        certificate_from_dict(mutate(json.loads(json.dumps(doc))))
+    assert str(err.value) == message
+
+
 def test_certificate_file_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     rep = randomized_representative(2, ComponentLabel("+", 0, 1), rng)
@@ -456,7 +512,8 @@ def test_census_path_classes_count_unpathed_samples(monkeypatch):
         (connectivity.PathError("refused for the test", stage="test"), True),
         # a failed projection arrives as a probe-stage PathError
         (connectivity.PathError("projection failed", stage="probe"), True),
-        (AlignmentError("refused for the test"), True),
+        # a continuation that underflows arrives as a PathError of its leg
+        (connectivity.PathError("continuation step underflow", stage="move-b1"), True),
         (Unclassifiable("refused for the test"), True),
         (ResidualError("refused for the test"), True),
         (TypeError("a programming error"), False),

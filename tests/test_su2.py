@@ -11,8 +11,7 @@ from repvar.su2 import (
     K,
     MINUS_ONE,
     ONE,
-    AlignmentError,
-    align_conjugator,
+    axis_rotation,
     commutator,
     conjugators,
     contract_to_one,
@@ -117,27 +116,31 @@ def test_haar_determinism_and_moments():
     assert abs((traces**2).mean() - 1.0) < 0.05
 
 
-def test_align_conjugator():
-    assert align_conjugator(I, I).dist(ONE) == 0.0
-    g = align_conjugator(I, J)
-    assert I.conjugate_by(g).dist(J) < 1e-10
-    with pytest.raises(AlignmentError):
-        align_conjugator(I, ONE)
-    # anti-parallel axes
+def _carry(rot):
+    """The conjugator of an axis_rotation result: half its angle about its axis."""
+    return ONE if rot is None else exp_axis_angle(rot[0], rot[1] / 2.0)
+
+
+def test_axis_rotation():
+    assert axis_rotation(I.axis(), I.axis()) is None
+    g = _carry(axis_rotation(I.axis(), J.axis()))
+    assert I.conjugate_by(g).dist(J) < 1e-15
+    # anti-parallel axes: pi about an axis orthogonal to both
     u = exp_axis_angle(E1, 0.9)
     v = exp_axis_angle((-1.0, 0.0, 0.0), 0.9)
-    g = align_conjugator(u, v)
-    assert u.conjugate_by(g).dist(v) < 1e-10
+    axis, angle = axis_rotation(u.axis(), v.axis())
+    assert angle == math.pi
+    assert abs(np.dot(axis, E1)) < 1e-15 and abs(np.linalg.norm(axis) - 1.0) < 1e-15
+    assert u.conjugate_by(_carry((axis, angle))).dist(v) < 1e-15
 
 
-def test_align_random_conjugate_pairs():
+def test_axis_rotation_random_pairs():
     rng = np.random.default_rng(13)
     for _ in range(200):
         u = haar_random(rng)
-        h = haar_random(rng)
-        v = u.conjugate_by(h)
-        g = align_conjugator(u, v)
-        assert u.conjugate_by(g).dist(v) < 1e-10
+        v = u.conjugate_by(haar_random(rng))
+        g = _carry(axis_rotation(u.axis(), v.axis()))
+        assert u.conjugate_by(g).dist(v) < 1e-14
 
 
 def test_stepped_paths_respect_the_step_bound():
