@@ -45,12 +45,11 @@ from .connectivity import (
 from .su2 import ONE
 from .varieties import (
     TorusRep,
-    fixed_point_residual,
     load_rep,
     random_surface_rep,
     rep_to_dict,
+    residual_for,
     save_rep,
-    torus_residual,
 )
 from .words import (
     chi,
@@ -132,13 +131,11 @@ def cmd_representative(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    system = "torus" if isinstance(label, TorusLabel) else "fix"
+    make = canonical_torus_representative if system == "torus" else canonical_representative
     try:
-        if isinstance(label, TorusLabel):
-            rep = canonical_torus_representative(args.n, label)
-            residual = torus_residual(rep, args.n).max
-        else:
-            rep = canonical_representative(args.n, label)
-            residual = fixed_point_residual(rep, args.n).max
+        rep = make(args.n, label)
+        residual = residual_for(rep, system, args.n).max
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
@@ -162,15 +159,10 @@ def cmd_classify(args) -> int:
     if args.n is not None and args.n != n:
         print(f"error: file was written for n={n}, got --n {args.n}", file=sys.stderr)
         return INPUT_ERROR
+    kind = "torus" if isinstance(rep, TorusRep) else "fix"
     try:
-        if isinstance(rep, TorusRep):
-            label = classify_torus(rep, n, args.tol)
-            residual = torus_residual(rep, n).max
-            kind = "torus"
-        else:
-            label = classify_fix(rep, n, args.tol)
-            residual = fixed_point_residual(rep, n).max
-            kind = "fix"
+        label = (classify_torus if kind == "torus" else classify_fix)(rep, n, args.tol)
+        residual = residual_for(rep, kind, n).max
     except Unclassifiable as exc:
         print(f"unclassifiable: {exc}", file=sys.stderr)
         return VERIFY_FAILED
@@ -303,15 +295,15 @@ def _verify_checks(args):
         yield (f"n={n}: label counts match closed forms", counts_ok, "")
         if n <= 6:
             bad = ""
-            for labels, make, residual, classify in (
-                (fix_labels, canonical_representative, fixed_point_residual, classify_fix),
-                (torus_labels, canonical_torus_representative, torus_residual, classify_torus),
+            for labels, make, system, classify in (
+                (fix_labels, canonical_representative, "fix", classify_fix),
+                (torus_labels, canonical_torus_representative, "torus", classify_torus),
             ):
                 for label in labels:
                     if bad:
                         break
                     rep = make(n, label)
-                    res = residual(rep, n).max
+                    res = residual_for(rep, system, n).max
                     if res > 1e-9:
                         bad = f"{label} residual {res:.2e}"
                     elif classify(rep, n, tol).text() != label.text():

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,12 +37,12 @@ from .su2 import (
     random_axis,
 )
 from .varieties import (
+    Rep,
     SurfaceRep,
     TorusRep,
     derived_x,
-    fixed_point_residual,
     random_surface_rep,
-    torus_residual,
+    residual_array,
     trivial_rep,
 )
 
@@ -60,6 +61,7 @@ __all__ = [
     "enumerate_torus_labels",
     "classify_fix",
     "classify_torus",
+    "label_residuals",
     "read_fix_label",
     "read_torus_label",
     "quantized_angle",
@@ -261,18 +263,28 @@ def quantized_index(theta: float, m: int, sigma: int, what: str) -> int:
     return k
 
 
+def label_residuals(points: Sequence[Rep], system: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the two residuals a label reading needs: the residual in
+    `system` and the fixed-point residual at n of the surface part."""
+    residuals = residual_array(points, system, n).max(axis=1)
+    if system == "torus" and n:
+        return residuals, residual_array([p.rep for p in points], "fix", n).max(axis=1)
+    return residuals, residuals
+
+
 def classify_fix(rep: SurfaceRep, n: int, tol: float = 1e-9) -> ComponentLabel:
     """Component label of a point of the fixed-point set.
 
     Raises ResidualError when the residual precondition fails and
     Unclassifiable when centrality or index rounding is ambiguous.
     """
-    res = fixed_point_residual(rep, abs(n)).max if n else 0.0
-    return read_fix_label(rep, n, res, tol)
+    _, (fix_residual,) = label_residuals([rep], "fix", n)
+    return read_fix_label(rep, n, fix_residual, tol)
 
 
 def read_fix_label(rep: SurfaceRep, n: int, residual: float, tol: float) -> ComponentLabel:
-    """classify_fix given the point's fixed-point residual, evaluated elsewhere."""
+    """classify_fix given the point's fixed-point residual at n (see
+    label_residuals); the reading itself only depends on |n|."""
     m = abs(n)
     if m == 0:
         return CENTRAL
@@ -303,15 +315,15 @@ def classify_torus(trep: TorusRep, n: int, tol: float = 1e-9) -> TorusLabel:
     Points with non-central T all belong to the merged central component;
     for T at a central value epsilon the label lifts the fixed-point label.
     """
-    fix_res = fixed_point_residual(trep.rep, abs(n)).max if n else 0.0
-    return read_torus_label(trep, n, torus_residual(trep, n).max, fix_res, tol)
+    (residual,), (fix_residual,) = label_residuals([trep], "torus", n)
+    return read_torus_label(trep, n, residual, fix_residual, tol)
 
 
 def read_torus_label(
     trep: TorusRep, n: int, residual: float, fix_residual: float, tol: float
 ) -> TorusLabel:
     """classify_torus given the torus residual of the point and the
-    fixed-point residual of its surface part at |n|, evaluated elsewhere."""
+    fixed-point residual of its surface part at n (see label_residuals)."""
     if residual > tol:
         raise ResidualError(f"torus residual {residual:.3e} exceeds tol {tol:.1e}")
     if abs(n) == 0:
@@ -319,22 +331,14 @@ def read_torus_label(
     gap, epsilon = central_gap(trep.t)
     if gap > REFUSE_BAND:
         return TORUS_CENTRAL
-    if gap > SNAP_BAND:
-        # annulus: agree only when both readings of T give the central label
-        try:
-            fix = read_fix_label(trep.rep, n, fix_residual, tol)
-        except ValueError:
-            # surface part off the fixed-point set, so T is not exactly
-            # central and the tuple sits in the merged component
-            return TORUS_CENTRAL
-        if fix.is_central:
-            return TORUS_CENTRAL
-        raise Unclassifiable(
-            f"T at distance {gap:.2e} from the center over the component {fix}"
-        )
+    # inside the annulus (gap > SNAP_BAND) the two readings of T must agree
     try:
         fix = read_fix_label(trep.rep, n, fix_residual, tol)
     except ValueError as exc:
+        if gap > SNAP_BAND:
+            # surface part off the fixed-point set, so T is not exactly
+            # central and the tuple sits in the merged component
+            return TORUS_CENTRAL
         if isinstance(exc, Unclassifiable):
             raise
         raise Unclassifiable(
@@ -342,6 +346,10 @@ def read_torus_label(
         ) from exc
     if fix.is_central:
         return TORUS_CENTRAL
+    if gap > SNAP_BAND:
+        raise Unclassifiable(
+            f"T at distance {gap:.2e} from the center over the component {fix}"
+        )
     return TorusLabel(epsilon, fix)
 
 

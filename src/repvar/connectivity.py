@@ -62,6 +62,7 @@ from .components import (
     count_torus,
     enumerate_fix_labels,
     enumerate_torus_labels,
+    label_residuals,
     quantized_angle,
     quantized_index,
     randomized_representative,
@@ -78,6 +79,7 @@ from .su2 import (
     axis_rotation,
     central_gap,
     commutator,
+    commute_pairwise,
     conjugators,
     contract_to_one,
     exp_axis_angle,
@@ -97,7 +99,6 @@ from .varieties import (
     rep_from_dict,
     rep_to_dict,
     residual_array,
-    residual_for,
     trivial_rep,
 )
 
@@ -228,38 +229,30 @@ class VerificationReport:
 
 
 def _label_texts(
-    pts: Sequence[Rep], system: str, n: int, tol: float, residuals: np.ndarray
-) -> list[str | None]:
-    """Label text per point (None where unclassifiable at tol), given the
-    points' residuals in `system`; only the label readings run per point."""
+    pts: Sequence[Rep], system: str, n: int, tol: float
+) -> tuple[np.ndarray, list[str | None]]:
+    """The residuals of pts in `system` and their label texts (None where
+    unclassifiable at tol): one label_residuals batch, then the readings."""
+    residuals, fix_residuals = label_residuals(pts, system, n)
     if system not in ("fix", "torus"):
-        return [""] * len(pts)
-    fix_residuals = residuals
-    if system == "torus" and n:
-        fix_residuals = residual_array([p.rep for p in pts], "fix", abs(n)).max(axis=1)
+        return residuals, [""] * len(pts)
     out: list[str | None] = []
     for p, res, fix_res in zip(pts, residuals, fix_residuals):
         try:
             if system == "fix":
-                out.append(read_fix_label(p, n, res, tol).text())
+                out.append(read_fix_label(p, n, fix_res, tol).text())
             else:
                 out.append(read_torus_label(p, n, res, fix_res, tol).text())
         except ValueError:
             out.append(None)
-    return out
-
-
-def _classify_text(rep: Rep, system: str, n: int, tol: float) -> str | None:
-    """Label text, or None when the point cannot be classified at tol."""
-    residual = residual_array([rep], system, n).max(axis=1)
-    return _label_texts([rep], system, n, tol, residual)[0]
+    return residuals, out
 
 
 def verify_certificate(cert: PathCertificate) -> VerificationReport:
     """Independent re-check of every certificate invariant.
 
-    Uses only the residual table (one batched evaluation, which doubles as
-    the classifiers' precondition) and the label readings: per-point
+    Uses only the residual table (one label_residuals batch, which doubles
+    as the readings' precondition) and the label readings: per-point
     residuals against the stated maximum, the stated maximum against the
     stated tolerance, consecutive steps against the stated step bound, that
     bound against MAX_STEP, and the label of every point, endpoints and
@@ -276,7 +269,7 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         )
     if cert.max_step > MAX_STEP + 1e-12:
         problems.append(f"stated step bound {cert.max_step:.3f} exceeds MAX_STEP = {MAX_STEP}")
-    residuals = residual_array(pts, cert.system, cert.n).max(axis=1)
+    residuals, texts = _label_texts(pts, cert.system, cert.n, cert.tol)
     for i, r in enumerate(residuals):
         if r > cert.max_residual + 1e-14:
             problems.append(f"point {i}: residual {r:.3e} above stated bound")
@@ -284,7 +277,6 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         s = step_between(p.elements(), q.elements())
         if s > cert.max_step + 1e-12:
             problems.append(f"step {i}->{i + 1}: {s:.4f} above stated bound")
-    texts = _label_texts(pts, cert.system, cert.n, cert.tol, residuals)
     for i, text in enumerate(texts):
         if text is None:
             problems.append(f"point {i} is unclassifiable")
@@ -308,6 +300,13 @@ def certificate_to_dict(cert: PathCertificate) -> dict:
     }
 
 
+# the fields of a certificate document and their JSON types; float admits int
+_CERT_FIELDS = (
+    ("system", str), ("n", int), ("label", str), ("tol", float),
+    ("max_residual", float), ("max_step", float), ("points", list),
+)
+
+
 def certificate_from_dict(data: dict) -> PathCertificate:
     if not isinstance(data, dict):
         raise ValueError("certificate document must be a JSON object")
@@ -315,9 +314,11 @@ def certificate_from_dict(data: dict) -> PathCertificate:
         raise ValueError(
             f"format: expected {CERT_FORMAT!r}, found {data.get('format')!r}"
         )
-    for key in ("system", "n", "label", "tol", "max_residual", "max_step", "points"):
+    for key, kind in _CERT_FIELDS:
         if key not in data:
             raise ValueError(f"{key}: missing")
+        if not isinstance(data[key], (int, float) if kind is float else kind):
+            raise ValueError(f"{key}: expected {kind.__name__}, found {data[key]!r}")
     if data["system"] not in _SYSTEM_IDS:
         raise ValueError(f"system: unknown {data['system']!r}")
     points = []
@@ -333,11 +334,11 @@ def certificate_from_dict(data: dict) -> PathCertificate:
             raise ValueError(f"points[{i}]: wrong representation kind for system")
     return PathCertificate(
         data["system"],
-        int(data["n"]),
+        data["n"],
         tuple(points),
         float(data["max_residual"]),
         float(data["max_step"]),
-        str(data["label"]),
+        data["label"],
         float(data["tol"]),
     )
 
@@ -624,17 +625,10 @@ def canonical_torus_path(
             return _finish(points, "torus", n, label.text(), cfg)
         if eps_sign < 0:
             points += _bridge_to_plus_one(n)
+    elif commute_pairwise(trep.elements(), 10 * cfg.residual_tol):
+        points += _snap_and_contract(trep, ("a3", "b3", "a2", "b2", "b1", "a1", "t"))
     else:
-        all_commuting = all(
-            commutator(u, v).dist(ONE) < 10 * cfg.residual_tol
-            for i, u in enumerate(trep.elements())
-            for v in trep.elements()[i + 1 :]
-        )
-        if all_commuting:
-            names = ("a3", "b3", "a2", "b2", "b1", "a1", "t")
-            points += _snap_and_contract(trep, names)
-        else:
-            points += _boundary_stratum_descent(trep, n)
+        points += _boundary_stratum_descent(trep, n)
     points.append(canonical_torus_representative(n, TORUS_CENTRAL))
     return _finish(points, "torus", n, TORUS_CENTRAL.text(), cfg)
 
@@ -659,12 +653,10 @@ def probe_path(
     routes through canonical representatives remain available there.
     """
     cfg = cfg or PathConfig()
-    for name, rep in (("first", r0), ("second", r1)):
-        res = residual_for(rep, system, n).max
+    residuals, (label0, label1) = _label_texts([r0, r1], system, n, cfg.residual_tol)
+    for name, res in zip(("first", "second"), residuals):
         if res > cfg.residual_tol:
             raise ValueError(f"{name} endpoint residual {res:.3e} above tolerance")
-    label0 = _classify_text(r0, system, n, cfg.residual_tol)
-    label1 = _classify_text(r1, system, n, cfg.residual_tol)
     if label0 is None or label1 is None:
         raise Unclassifiable("endpoint label could not be determined")
     if label0 != label1:
@@ -678,7 +670,7 @@ def probe_path(
         proj = project_to_variety(rebuild(els), n, system, tol=NODE_TOL)
         if not proj.converged:
             raise PathError("projection off the interpolant failed", stage="probe")
-        text = _classify_text(proj.rep, system, n, cfg.residual_tol)
+        _, (text,) = _label_texts([proj.rep], system, n, cfg.residual_tol)
         if text != label0:
             raise PathError(
                 f"projected point left the component ({text!r})", stage="probe"
@@ -840,11 +832,12 @@ def census(
     """
     cfg = cfg or PathConfig()
     if system == "fix":
-        labels = enumerate_fix_labels(n)
-        closed = count_fix(n)
+        labels, closed = enumerate_fix_labels(n), count_fix(n)
+        sample, classify, path = randomized_representative, classify_fix, canonical_path
     elif system == "torus":
-        labels = enumerate_torus_labels(n)
-        closed = count_torus(n)
+        labels, closed = enumerate_torus_labels(n), count_torus(n)
+        sample, classify = randomized_torus_representative, classify_torus
+        path = canonical_torus_path
     else:
         raise ValueError(f"census runs on 'fix' or 'torus', not {system!r}")
     system_id = _SYSTEM_IDS[system]
@@ -858,12 +851,8 @@ def census(
         for i in range(samples_per_label):
             rng = np.random.default_rng([seed, system_id, li, i])
             try:
-                if system == "fix":
-                    rep = randomized_representative(n, label, rng)
-                    got = classify_fix(rep, n, cfg.residual_tol).text()
-                else:
-                    rep = randomized_torus_representative(n, label, rng)
-                    got = classify_torus(rep, n, cfg.residual_tol).text()
+                rep = sample(n, label, rng)
+                got = classify(rep, n, cfg.residual_tol).text()
             except _SAMPLE_FAILURES:
                 continue
             classified += 1
@@ -871,10 +860,7 @@ def census(
             if got != label.text():
                 anomalies += 1
             try:
-                if system == "fix":
-                    cert = canonical_path(rep, n, cfg)
-                else:
-                    cert = canonical_torus_path(rep, n, cfg)
+                cert = path(rep, n, cfg)
             except _SAMPLE_FAILURES:
                 continue
             if verify_certificate(cert).ok:

@@ -2,9 +2,12 @@
 
 Group elements are unit quaternions w + x*i + y*j + z*k.  The matrix trace
 of the corresponding SU(2) matrix is 2*w, the center is {1, -1}, and the
-rotation angle of an element is arccos(w) in [0, pi].  Every constructor
-renormalizes, so |norm - 1| stays below 1e-12 through arbitrarily long
-chains of operations.
+rotation angle of an element is arccos(w) in [0, pi].  The product,
+inverse, commutator and integer power are written once, as q-functions
+over quaternion 4-tuples of floats or numpy arrays, which do not
+renormalize; the SU2 methods are those functions followed by the
+constructor, which renormalizes, so |norm - 1| stays below 1e-12 through
+arbitrarily long chains of operations.
 
 All values are immutable and all functions are pure; random sampling takes
 an explicit numpy Generator.
@@ -26,6 +29,7 @@ __all__ = [
     "K",
     "E1",
     "commutator",
+    "commute_pairwise",
     "exp_axis_angle",
     "exp_tangent",
     "geodesic",
@@ -37,6 +41,9 @@ __all__ = [
     "qmul",
     "qinv",
     "qcommutator",
+    "qpow",
+    "FLOAT_OPS",
+    "ARRAY_OPS",
     "torus_snap",
     "random_axis",
     "MAX_STEP",
@@ -49,6 +56,47 @@ __all__ = [
 
 def _clamp(value: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return lo if value < lo else hi if value > hi else value
+
+
+# -- the quaternion kernel ----------------------------------------------------
+
+def qmul(a, b):
+    """Product of quaternion 4-tuples, not renormalized."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def qinv(a):
+    """Inverse of a unit quaternion 4-tuple (its conjugate)."""
+    return (a[0], -a[1], -a[2], -a[3])
+
+
+def qcommutator(a, b, mul=qmul, inv=qinv):
+    """a b a^-1 b^-1 over `mul` and `inv`, by default of 4-tuples."""
+    return mul(mul(mul(a, b), inv(a)), inv(b))
+
+
+def qpow(a, k: int, ops):
+    """a^k by exact angle scaling, `ops` = (sqrt, atan2, sin, cos, where, power)
+    to match a's components; central a gives +-1 with the scaling's zero signs."""
+    sqrt, atan2, sin, cos, where, _ = ops
+    w, x, y, z = a
+    vn = sqrt(x * x + y * y + z * z)
+    central = vn == 0.0
+    kt = k * atan2(vn, w)
+    s = sin(kt) / where(central, 1.0, vn)
+    sign = 1.0 if k % 2 == 0 else where(w > 0.0, 1.0, -1.0)
+    return (where(central, sign, cos(kt)), s * x, s * y, s * z)
+
+
+FLOAT_OPS = (math.sqrt, math.atan2, math.sin, math.cos, lambda c, a, b: a if c else b, qpow)
+ARRAY_OPS = (np.sqrt, np.arctan2, np.sin, np.cos, np.where, qpow)
 
 
 class SU2:
@@ -68,17 +116,11 @@ class SU2:
     # -- basic algebra ------------------------------------------------
 
     def __mul__(self, other: "SU2") -> "SU2":
-        aw, ax, ay, az = self.w, self.x, self.y, self.z
-        bw, bx, by, bz = other.w, other.x, other.y, other.z
-        return SU2(
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        )
+        b = (other.w, other.x, other.y, other.z)
+        return SU2(*qmul((self.w, self.x, self.y, self.z), b))
 
     def inverse(self) -> "SU2":
-        return SU2(self.w, -self.x, -self.y, -self.z)
+        return SU2(*qinv((self.w, self.x, self.y, self.z)))
 
     def __neg__(self) -> "SU2":
         return SU2(-self.w, -self.x, -self.y, -self.z)
@@ -89,13 +131,7 @@ class SU2:
 
     def power(self, k: int) -> "SU2":
         """Integer power by exact angle scaling (no multiplicative drift)."""
-        vn = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if vn == 0.0:
-            return ONE if (self.w > 0.0 or k % 2 == 0) else MINUS_ONE
-        theta = math.atan2(vn, self.w)
-        kt = k * theta
-        s = math.sin(kt) / vn
-        return SU2(math.cos(kt), s * self.x, s * self.y, s * self.z)
+        return SU2(*qpow((self.w, self.x, self.y, self.z), k, FLOAT_OPS))
 
     # -- geometry -----------------------------------------------------
 
@@ -137,19 +173,12 @@ class SU2:
 
     def is_central(self, tol: float = 1e-9) -> bool:
         """True iff within `tol` (4-vector distance) of +1 or -1."""
-        d = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        return min(math.hypot(self.w - 1.0, d), math.hypot(self.w + 1.0, d)) < tol
+        return central_gap(self)[0] < tol
 
     # -- conversions --------------------------------------------------
 
     def to_list(self) -> list[float]:
         return [self.w, self.x, self.y, self.z]
-
-    @classmethod
-    def from_seq(cls, seq: Sequence[float]) -> "SU2":
-        if len(seq) != 4:
-            raise ValueError(f"expected 4 components, got {len(seq)}")
-        return cls(float(seq[0]), float(seq[1]), float(seq[2]), float(seq[3]))
 
     def __repr__(self) -> str:
         return f"SU2({self.w:+.6f}, {self.x:+.6f}, {self.y:+.6f}, {self.z:+.6f})"
@@ -171,28 +200,6 @@ def central_gap(u: SU2) -> tuple[float, int]:
     return (d_plus, 1) if d_plus <= d_minus else (d_minus, -1)
 
 
-def qmul(a, b):
-    """Product of quaternion 4-tuples of floats or numpy arrays, not renormalized."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
-def qinv(a):
-    """Inverse of a unit quaternion 4-tuple (its conjugate)."""
-    return (a[0], -a[1], -a[2], -a[3])
-
-
-def qcommutator(a, b):
-    """a b a^-1 b^-1 for unit quaternion 4-tuples, not renormalized."""
-    return qmul(qmul(qmul(a, b), qinv(a)), qinv(b))
-
-
 def torus_snap(el: SU2, axis) -> SU2:
     """Nearest element on the maximal torus of `axis` with the same angle."""
     ux, uy, uz = axis
@@ -205,8 +212,15 @@ def torus_snap(el: SU2, axis) -> SU2:
 
 
 def commutator(a: SU2, b: SU2) -> SU2:
-    """a * b * a^-1 * b^-1."""
-    return a * b * a.inverse() * b.inverse()
+    """a * b * a^-1 * b^-1, renormalized after each product."""
+    return qcommutator(a, b, SU2.__mul__, SU2.inverse)
+
+
+def commute_pairwise(els: Sequence[SU2], tol: float) -> bool:
+    """True iff every commutator of two of els lies within `tol` of 1."""
+    return all(
+        commutator(u, v).dist(ONE) < tol for i, u in enumerate(els) for v in els[i + 1 :]
+    )
 
 
 def exp_axis_angle(axis: Sequence[float], theta: float) -> SU2:

@@ -40,7 +40,20 @@ import numpy as np
 
 from .commutator import sample_fiber
 from .solvers import refine_elements, tangent_jacobian
-from .su2 import MINUS_ONE, ONE, SU2, commutator, haar_random, qcommutator, qinv, qmul
+from .su2 import (
+    ARRAY_OPS,
+    FLOAT_OPS,
+    MINUS_ONE,
+    ONE,
+    SU2,
+    commutator,
+    commute_pairwise,
+    haar_random,
+    qcommutator,
+    qinv,
+    qmul,
+    qpow,
+)
 from .words import SURFACE_GENERATORS, Generator, evaluate, phi_substitution
 
 __all__ = [
@@ -156,9 +169,11 @@ def derived_x(rep: SurfaceRep) -> SU2:
 # Each system is written once, as (tag, lhs, rhs) terms over quaternion
 # 4-tuples of floats (one point), numpy (N,) arrays (N points) or complex
 # arrays (complex steps), with `ops` = (sqrt, atan2, sin, cos, where, power)
-# to match; the complex atan2 carries (x dy - y dx) / (x^2 + y^2) as its
-# imaginary part, and `w > 0.0` orders complex values by real part first.
-# The residual report, least-squares vector, Jacobian and array read them.
+# to match: su2's FLOAT_OPS and ARRAY_OPS, whose power is su2.qpow, or
+# _COMPLEX_OPS below.  The complex atan2 carries (x dy - y dx) / (x^2 + y^2)
+# as its imaginary part, and `w > 0.0` orders complex values by real part
+# first.  The residual report, least-squares vector, Jacobian and array
+# read them.
 
 
 def _complex_atan2(y, x):
@@ -166,28 +181,14 @@ def _complex_atan2(y, x):
     return np.arctan2(yr, xr) + 1j * (xr * y.imag - yr * x.imag) / (xr * xr + yr * yr)
 
 
-def _qpow(a, k: int, ops):
-    """a^k by exact angle scaling, as SU2.power; central a gives exactly +-1."""
-    sqrt, atan2, sin, cos, where, _ = ops
-    w, x, y, z = a
-    vn = sqrt(x * x + y * y + z * z)
-    central = vn == 0.0
-    kt = k * atan2(vn, w)
-    s = sin(kt) / where(central, 1.0, vn)
-    sign = 1.0 if k % 2 == 0 else where(w > 0.0, 1.0, -1.0)
-    return (where(central, sign, cos(kt)), s * x, s * y, s * z)
-
-
 def _qpow_from_nearer_pole(a, k: int, ops):
-    """_qpow for complex steps, as p^k (p a)^k with p = sign(w): near -1 the
+    """qpow for complex steps, as p^k (p a)^k with p = sign(w): near -1 the
     angle rounds to pi, losing vn and with it the derivative of sin(kt) / vn."""
     p = np.where(a[0].real < 0.0, -1.0, 1.0)
-    power = _qpow(tuple(p * c for c in a), k, ops)
+    power = qpow(tuple(p * c for c in a), k, ops)
     return power if k % 2 == 0 else tuple(p * c for c in power)
 
 
-_FLOAT_OPS = (math.sqrt, math.atan2, math.sin, math.cos, lambda c, a, b: a if c else b, _qpow)
-_ARRAY_OPS = (np.sqrt, np.arctan2, np.sin, np.cos, np.where, _qpow)
 _COMPLEX_OPS = (np.sqrt, _complex_atan2, np.sin, np.cos, np.where, _qpow_from_nearer_pole)
 _ONE_Q = (1.0, 0.0, 0.0, 0.0)
 
@@ -254,7 +255,7 @@ def _quats(rep: Rep, system: str) -> list[tuple[float, float, float, float]]:
 
 
 def _report(rep: Rep, system: str, n: int) -> ResidualReport:
-    terms = _TABLES[system](_quats(rep, system), n, _FLOAT_OPS)
+    terms = _TABLES[system](_quats(rep, system), n, FLOAT_OPS)
     return ResidualReport(tuple((tag, _gap(l, r, math.sqrt)) for tag, l, r in terms))
 
 
@@ -292,7 +293,7 @@ def residual_array(points: Sequence[Rep], system: str, n: int) -> np.ndarray:
     coords = np.array([_quats(p, system) for p in points], dtype=float)
     # one (4, N) block of components per element
     q = np.ascontiguousarray(coords.reshape(len(points), width, 4).transpose(1, 2, 0))
-    terms = _TABLES[system](q, n, _ARRAY_OPS)
+    terms = _TABLES[system](q, n, ARRAY_OPS)
     return np.stack([_gap(l, r, np.sqrt) for _, l, r in terms], axis=1)
 
 
@@ -325,7 +326,7 @@ def _table_gaps(quats, system: str, n: int, ops) -> np.ndarray:
 
 def _signed_residual(elements: Sequence[SU2], system: str, n: int) -> np.ndarray:
     # signed 4-vector differences per equation, for the least-squares engine
-    return _table_gaps([el.to_list() for el in elements], system, n, _FLOAT_OPS)
+    return _table_gaps([el.to_list() for el in elements], system, n, FLOAT_OPS)
 
 
 def _signed_jacobian(elements: Sequence[SU2], system: str, n: int) -> np.ndarray:
@@ -422,10 +423,8 @@ def centralizer_type(rep: SurfaceRep, tol: float = 1e-9) -> CentralizerType:
     els = rep.elements()
     if all(el.is_central(tol) for el in els):
         return CentralizerType.FULL_GROUP
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            if commutator(els[i], els[j]).dist(ONE) >= tol:
-                return CentralizerType.CENTER_ONLY
+    if not commute_pairwise(els, tol):
+        return CentralizerType.CENTER_ONLY
     return CentralizerType.CIRCLE
 
 
@@ -449,10 +448,9 @@ def _element_from(value, where: str) -> SU2:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise ValueError(f"{where}: expected a list of 4 floats")
     try:
-        el = SU2.from_seq([float(v) for v in value])
+        return SU2(*(float(v) for v in value))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    return el
 
 
 def rep_from_dict(data: dict) -> tuple[int, Rep]:

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from repvar.cli import main
+from repvar.su2 import exp_axis_angle
+from repvar.varieties import load_rep, save_rep
 
 
 def run(capsys, *argv):
@@ -99,6 +101,38 @@ def test_probe_roundtrip_and_refusal(tmp_path, capsys):
     assert code == 0 and cert.exists()
     doc = json.loads(cert.read_text())
     assert doc["format"] == "pathcert-1"
+
+
+def _negative_zeros(doc) -> int:
+    if isinstance(doc, float):
+        return int(doc == 0.0 and math.copysign(1.0, doc) < 0.0)
+    if isinstance(doc, (list, dict)):
+        return sum(map(_negative_zeros, doc.values() if isinstance(doc, dict) else doc))
+    return 0
+
+
+def test_documents_carry_no_negative_zero(tmp_path, capsys):
+    # the readings power central elements (A1 = 1 on the trivial tuple),
+    # and a power of +-1 keeps the zero signs of its scaling; none of them
+    # may reach a document
+    for n in ("3", "-4"):
+        _, out, _ = run(capsys, "enumerate", "--n", n, "--format", "json")
+        labels = json.loads(out)
+        for label in labels["fix_labels"] + labels["torus_labels"]:
+            rep = tmp_path / "rep.json"
+            argv = ("representative", "--n", n, f"--label={label}", "--out", str(rep))
+            code, _, _ = run(capsys, *argv)
+            assert code == 0 and _negative_zeros(json.loads(rep.read_text())) == 0, label
+            code, out, _ = run(capsys, "classify", str(rep), "--format", "json")
+            assert code == 0 and _negative_zeros(json.loads(out)) == 0, label
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    run(capsys, "representative", "--n", "2", "--label", "eps=-1,+,0,1", "--out", str(a))
+    n, rep = load_rep(a)
+    save_rep(b, rep.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.2)), n)
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "probe", str(a), str(b), "--out", str(cert))
+    assert code == 0 and _negative_zeros(json.loads(cert.read_text())) == 0
 
 
 def test_census_cli(capsys):

@@ -445,8 +445,24 @@ def test_verify_rejects_step_bound_above_max_step():
             "points[1]: A[0]: expected a list of 4 floats",
         ),
         (lambda doc: {**doc, "system": "torus"}, "points[0]: wrong representation kind for system"),
+        (lambda doc: {**doc, "points": 5}, "points: expected list, found 5"),
+        (lambda doc: {**doc, "points": None}, "points: expected list, found None"),
+        (lambda doc: {**doc, "n": None}, "n: expected int, found None"),
+        (lambda doc: {**doc, "n": 2.7}, "n: expected int, found 2.7"),
+        (lambda doc: {**doc, "tol": None}, "tol: expected float, found None"),
+        (lambda doc: {**doc, "tol": [1]}, "tol: expected float, found [1]"),
+        (lambda doc: {**doc, "max_residual": None}, "max_residual: expected float, found None"),
+        (lambda doc: {**doc, "max_residual": [1]}, "max_residual: expected float, found [1]"),
+        (lambda doc: {**doc, "max_step": None}, "max_step: expected float, found None"),
+        (lambda doc: {**doc, "max_step": [1]}, "max_step: expected float, found [1]"),
+        (lambda doc: {**doc, "label": None}, "label: expected str, found None"),
     ],
-    ids=["not-object", "format", "missing-key", "system", "bad-point", "kind"],
+    ids=[
+        "not-object", "format", "missing-key", "system", "bad-point", "kind",
+        "points-int", "points-null", "n-null", "n-float", "tol-null", "tol-list",
+        "max-residual-null", "max-residual-list", "max-step-null", "max-step-list",
+        "label-null",
+    ],
 )
 def test_certificate_from_dict_rejects_malformed_documents(mutate, message):
     doc = certificate_to_dict(_sample_certificate("fix"))

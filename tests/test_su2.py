@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repvar.su2 import (
+    ARRAY_OPS,
     E1,
+    SU2,
     I,
     J,
     K,
@@ -20,6 +22,7 @@ from repvar.su2 import (
     geodesic_distance,
     geodesic_to_one,
     haar_random,
+    qpow,
 )
 
 
@@ -94,6 +97,23 @@ def test_power_exact_angle_scaling():
     v = rand_elements(9)[0]
     by_mult = v * v * v * v * v
     assert v.power(5).dist(by_mult) < 1e-12
+    # against k-fold products: Haar elements, +-1, 1 with signed zeros
+    # (1.inverse()) and an element within 1e-15 of -1
+    near_minus_one = SU2(-1.0, 6e-16, -8e-16, 0.0)
+    els = rand_elements(9, 4) + [ONE, MINUS_ONE, ONE.inverse(), near_minus_one]
+    for u in els:
+        for k in range(-8, 9):
+            factor = u if k >= 0 else u.inverse()
+            by_mult = ONE
+            for _ in range(abs(k)):
+                by_mult = by_mult * factor
+            assert u.power(k).dist(by_mult) < 5e-15, (u, k)
+    # the array ops power a stack of the same elements row by row
+    stack = tuple(np.array(c) for c in zip(*(u.to_list() for u in els)))
+    for k in range(-8, 9):
+        rows = np.array(qpow(stack, k, ARRAY_OPS)).T
+        for u, row in zip(els, rows):
+            assert max(abs(a - b) for a, b in zip(u.power(k).to_list(), row)) < 5e-16, (u, k)
 
 
 def test_geodesic():
