@@ -32,7 +32,6 @@ from .components import (
 from .connectivity import (
     CensusReport,
     PathCertificate,
-    PathConfig,
     canonical_path,
     canonical_torus_path,
     census,

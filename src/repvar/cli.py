@@ -34,7 +34,6 @@ from .components import (
 )
 from .connectivity import (
     LabelMismatchError,
-    PathConfig,
     PathError,
     census,
     probe_path,
@@ -194,9 +193,8 @@ def cmd_probe(args) -> int:
         print("error: cannot probe between torus and surface representations", file=sys.stderr)
         return INPUT_ERROR
     system = "torus" if isinstance(r0, TorusRep) else "fix"
-    cfg = PathConfig(args.tol, args.depth)
     try:
-        cert = probe_path(r0, r1, system, n0, cfg)
+        cert = probe_path(r0, r1, system, n0, args.tol)
     except LabelMismatchError as exc:
         print(f"label mismatch: {exc}", file=sys.stderr)
         return VERIFY_FAILED
@@ -222,12 +220,11 @@ def cmd_probe(args) -> int:
 
 
 def cmd_census(args) -> int:
-    cfg = PathConfig(residual_tol=args.tol)
     reports = []
     ok = True
     lines = []
     for system in ("fix", "torus"):
-        report = census(args.n, system, args.samples, args.seed, cfg)
+        report = census(args.n, system, args.samples, args.seed, args.tol)
         reports.append(report.to_dict())
         ok = ok and report.passes_gate
         lines.append(
@@ -310,9 +307,8 @@ def _verify_checks(args):
                         bad = f"{label} classifier round-trip failed"
             yield (f"n={n}: representatives and round-trips", not bad, bad)
         if args.samples > 0:
-            cfg = PathConfig(residual_tol=tol)
             for system in ("fix", "torus"):
-                report = census(n, system, args.samples, args.seed, cfg)
+                report = census(n, system, args.samples, args.seed, tol)
                 detail = (
                     f"components {report.estimated_components}/{report.closed_form}, "
                     f"success {report.overall_success_rate:.1%}"
@@ -404,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep0", type=str)
     p.add_argument("rep1", type=str)
     p.add_argument("--tol", type=float, default=1e-7, help="residual tolerance")
-    p.add_argument("--depth", type=int, default=12, help="budget: 2**depth projections")
     p.add_argument("--out", type=str, default="", help="output file (default: stdout)")
     p.set_defaults(func=cmd_probe)
 

@@ -401,16 +401,21 @@ def _off_center_a1(k: int, rng: np.random.Generator) -> SU2:
     raise RuntimeError(f"could not sample a1 with a1^{k} away from the center")
 
 
+def _with_random_b1(a1: SU2, a3: SU2, b3: SU2, rng: np.random.Generator) -> SurfaceRep:
+    """A Haar B1, then (A2, B2) from the fiber the relation forces."""
+    b1 = haar_random(rng)
+    c = commutator(a1, b1).inverse() * commutator(a3, b3).inverse()
+    a2, b2 = sample_fiber(c, rng)
+    return SurfaceRep(a1, b1, a2, b2, a3, b3)
+
+
 def _random_torus_core_rep(m: int, rng: np.random.Generator) -> SurfaceRep:
     # a1^m firmly non-central; a3, b3 on a1's torus; b1 free
     a1 = _off_center_a1(m, rng)
     axis = a1.axis()
     a3 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
     b3 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
-    b1 = haar_random(rng)
-    c = commutator(a1, b1).inverse() * commutator(a3, b3).inverse()
-    a2, b2 = sample_fiber(c, rng)
-    return SurfaceRep(a1, b1, a2, b2, a3, b3)
+    return _with_random_b1(a1, a3, b3, rng)
 
 
 def _random_quantized_rep(
@@ -421,10 +426,7 @@ def _random_quantized_rep(
     a1 = exp_axis_angle(random_axis(rng), theta_k)
     x_target = exp_axis_angle(random_axis(rng), theta_l)
     a3, b3 = sample_fiber(x_target * a1.inverse(), rng)
-    b1 = haar_random(rng)
-    c = commutator(a1, b1).inverse() * commutator(a3, b3).inverse()
-    a2, b2 = sample_fiber(c, rng)
-    return SurfaceRep(a1, b1, a2, b2, a3, b3)
+    return _with_random_b1(a1, a3, b3, rng)
 
 
 def randomized_representative(

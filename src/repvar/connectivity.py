@@ -53,6 +53,7 @@ from .components import (
     TORUS_CENTRAL,
     ComponentLabel,
     ResidualError,
+    TorusLabel,
     Unclassifiable,
     canonical_representative,
     canonical_torus_representative,
@@ -103,7 +104,6 @@ from .varieties import (
 )
 
 __all__ = [
-    "PathConfig",
     "PathCertificate",
     "PathError",
     "LabelMismatchError",
@@ -126,13 +126,7 @@ CERT_FORMAT = "pathcert-1"
 
 _SYSTEM_IDS = {"fix": 0, "torus": 1, "surface": 2}
 
-
-@dataclass(frozen=True)
-class PathConfig:
-    """Budgets and bounds for path construction and acceptance."""
-
-    residual_tol: float = 1e-7  # acceptance bound on per-point residuals
-    bisection_depth: int = 12  # probe_path's budget: 2**depth projection attempts
+TOL = 1e-7  # default acceptance bound on per-point residuals
 
 
 class PathError(RuntimeError):
@@ -193,22 +187,18 @@ def _constant_angle_path(x: SU2, target_axis) -> tuple[Callable[[float], SU2], f
 
 # -- certificate assembly and verification ----------------------------------
 
-def _dedupe(points: list[Rep]) -> list[Rep]:
-    out = [points[0]]
-    for p in points[1:]:
-        if step_between(out[-1].elements(), p.elements()) > 1e-14:
-            out.append(p)
-    return out
-
-
 def _finish(
-    points: list[Rep], system: str, n: int, label_text: str, cfg: PathConfig
+    points: list[Rep], system: str, n: int, label_text: str, tol: float
 ) -> PathCertificate:
-    pts = _dedupe(points)
+    """Keep each point more than 1e-14 from the last kept one; check the bounds."""
+    pts, max_step = [points[0]], 0.0
+    for p in points[1:]:
+        step = step_between(pts[-1].elements(), p.elements())
+        if step > 1e-14:
+            pts.append(p)
+            max_step = max(max_step, step)
     max_residual = float(residual_array(pts, system, n).max())
-    els = [p.elements() for p in pts]
-    max_step = max((step_between(p, q) for p, q in zip(els, els[1:])), default=0.0)
-    if max_residual > cfg.residual_tol:
+    if max_residual > tol:
         raise PathError(
             f"constructed path violates residual bound: {max_residual:.3e}",
             stage="assembly",
@@ -217,9 +207,7 @@ def _finish(
         raise PathError(
             f"constructed path violates step bound: {max_step:.3f}", stage="assembly"
         )
-    return PathCertificate(
-        system, n, tuple(pts), max_residual, max_step, label_text, cfg.residual_tol
-    )
+    return PathCertificate(system, n, tuple(pts), max_residual, max_step, label_text, tol)
 
 
 @dataclass(frozen=True)
@@ -300,7 +288,7 @@ def certificate_to_dict(cert: PathCertificate) -> dict:
     }
 
 
-# the fields of a certificate document and their JSON types; float admits int
+# the fields of a certificate document and their JSON types; float admits int, none bool
 _CERT_FIELDS = (
     ("system", str), ("n", int), ("label", str), ("tol", float),
     ("max_residual", float), ("max_step", float), ("points", list),
@@ -317,7 +305,8 @@ def certificate_from_dict(data: dict) -> PathCertificate:
     for key, kind in _CERT_FIELDS:
         if key not in data:
             raise ValueError(f"{key}: missing")
-        if not isinstance(data[key], (int, float) if kind is float else kind):
+        accepted = (int, float) if kind is float else kind
+        if isinstance(data[key], bool) or not isinstance(data[key], accepted):
             raise ValueError(f"{key}: expected {kind.__name__}, found {data[key]!r}")
     if data["system"] not in _SYSTEM_IDS:
         raise ValueError(f"system: unknown {data['system']!r}")
@@ -476,20 +465,14 @@ def _central_descent(rep: SurfaceRep, m: int) -> list[SurfaceRep]:
     return points
 
 
-def canonical_path(
-    rep: SurfaceRep, n: int, cfg: PathConfig | None = None
-) -> PathCertificate:
+def canonical_path(rep: SurfaceRep, n: int, tol: float = TOL) -> PathCertificate:
     """Certificate from `rep` to the canonical representative of its label."""
-    cfg = cfg or PathConfig()
-    label, points = _fix_path_points(rep, n, cfg)
-    return _finish(points, "fix", n, label.text(), cfg)
+    label = classify_fix(rep, n, tol)
+    return _finish(_fix_path_points(rep, n, label), "fix", n, label.text(), tol)
 
 
-def _fix_path_points(
-    rep: SurfaceRep, n: int, cfg: PathConfig
-) -> tuple[ComponentLabel, list[SurfaceRep]]:
-    """Label of `rep` and the staged path's nodes, not yet assembled."""
-    label = classify_fix(rep, n, cfg.residual_tol)
+def _fix_path_points(rep: SurfaceRep, n: int, label: ComponentLabel) -> list[SurfaceRep]:
+    """The staged path's nodes from `rep`, of component `label`, not yet assembled."""
     m = abs(n)
     points: list[SurfaceRep] = [rep]
     points += _track_b1_leg(rep)
@@ -497,7 +480,7 @@ def _fix_path_points(
     if label.is_central:
         points += _central_descent(points[-1], m)
         points.append(trivial_rep())
-        return label, points
+        return points
 
     current = points[-1]
     theta_k = quantized_angle(m, label.sign, label.k)
@@ -535,7 +518,7 @@ def _fix_path_points(
         points[-1], ("a2", "b2"), (target.a2, target.b2), y_star.inverse()
     )
     points.append(target)
-    return label, points
+    return points
 
 
 # -- canonical staged paths (torus system) -----------------------------------
@@ -606,36 +589,40 @@ def _boundary_stratum_descent(trep: TorusRep, n: int) -> list[TorusRep]:
     return out[1:]
 
 
-def canonical_torus_path(
-    trep: TorusRep, n: int, cfg: PathConfig | None = None
-) -> PathCertificate:
+def canonical_torus_path(trep: TorusRep, n: int, tol: float = TOL) -> PathCertificate:
     """Certificate from a mapping-torus point to its canonical representative."""
-    cfg = cfg or PathConfig()
-    label = classify_torus(trep, n, cfg.residual_tol)
-    points: list[TorusRep] = [trep]
+    label = classify_torus(trep, n, tol)
+    return _finish(_torus_path_points(trep, n, label, tol), "torus", n, label.text(), tol)
 
+
+def _torus_path_points(
+    trep: TorusRep, n: int, label: TorusLabel, tol: float
+) -> list[TorusRep]:
+    """The staged path's nodes from `trep`, of component `label`, not yet assembled."""
+    points: list[TorusRep] = [trep]
     gap, eps_sign = central_gap(trep.t)
     if gap <= SNAP_BAND:
-        # central T (as every non-central label has): lift the fix path
+        # central T (as every non-central label has): lift the fix path;
+        # here label.fix is the fixed-point label of trep.rep
         eps = ONE if eps_sign > 0 else MINUS_ONE
         points.append(TorusRep(eps, trep.rep))
-        _, fix_points = _fix_path_points(trep.rep, n, cfg)
-        points += [TorusRep(eps, p) for p in fix_points[1:]]
+        points += [TorusRep(eps, p) for p in _fix_path_points(trep.rep, n, label.fix)[1:]]
         if not label.is_central:
-            return _finish(points, "torus", n, label.text(), cfg)
+            return points
         if eps_sign < 0:
             points += _bridge_to_plus_one(n)
-    elif commute_pairwise(trep.elements(), 10 * cfg.residual_tol):
+    elif commute_pairwise(trep.elements(), 10 * tol):
         points += _snap_and_contract(trep, ("a3", "b3", "a2", "b2", "b1", "a1", "t"))
     else:
         points += _boundary_stratum_descent(trep, n)
     points.append(canonical_torus_representative(n, TORUS_CENTRAL))
-    return _finish(points, "torus", n, TORUS_CENTRAL.text(), cfg)
+    return points
 
 
 # -- blind interpolate-and-project search ------------------------------------
 
 NODE_TOL = 1e-10  # residual target of every point probe_path projects
+BISECTION_DEPTH = 12  # halvings per step; the budget is 2**BISECTION_DEPTH projections
 
 
 def probe_path(
@@ -643,7 +630,7 @@ def probe_path(
     r1: Rep,
     system: str,
     n: int,
-    cfg: PathConfig | None = None,
+    tol: float = TOL,
 ) -> PathCertificate:
     """Bisection search for a certificate between same-label endpoints.
 
@@ -652,10 +639,9 @@ def probe_path(
     This search is allowed to fail near the singular strata; the staged
     routes through canonical representatives remain available there.
     """
-    cfg = cfg or PathConfig()
-    residuals, (label0, label1) = _label_texts([r0, r1], system, n, cfg.residual_tol)
+    residuals, (label0, label1) = _label_texts([r0, r1], system, n, tol)
     for name, res in zip(("first", "second"), residuals):
-        if res > cfg.residual_tol:
+        if res > tol:
             raise ValueError(f"{name} endpoint residual {res:.3e} above tolerance")
     if label0 is None or label1 is None:
         raise Unclassifiable("endpoint label could not be determined")
@@ -670,7 +656,7 @@ def probe_path(
         proj = project_to_variety(rebuild(els), n, system, tol=NODE_TOL)
         if not proj.converged:
             raise PathError("projection off the interpolant failed", stage="probe")
-        _, (text,) = _label_texts([proj.rep], system, n, cfg.residual_tol)
+        _, (text,) = _label_texts([proj.rep], system, n, tol)
         if text != label0:
             raise PathError(
                 f"projected point left the component ({text!r})", stage="probe"
@@ -680,14 +666,14 @@ def probe_path(
     # walk the interpolant from r0 toward r1, projecting each predictor;
     # the fraction halves on failure, which plays the role of bisection
     # depth.  Every projection attempt, placed or not, counts against one
-    # budget of 2**bisection_depth, so a stuck walk fails fast.
+    # budget of 2**BISECTION_DEPTH, so a stuck walk fails fast.
     points: list[Rep] = [r0]
-    budget = 2**cfg.bisection_depth
+    budget = 2**BISECTION_DEPTH
     end = r1.elements()
     while (remaining := step_between(points[-1].elements(), end)) > MAX_STEP:
         current = points[-1]
         frac = min(1.0, 0.8 * MAX_STEP / remaining)
-        for _ in range(cfg.bisection_depth):
+        for _ in range(BISECTION_DEPTH):
             if budget == 0:
                 raise PathError("projection budget exhausted", stage="probe")
             budget -= 1
@@ -709,7 +695,7 @@ def probe_path(
                 stage="probe",
             )
     points.append(r1)
-    return _finish(points, system, n, label0, cfg)
+    return _finish(points, system, n, label0, tol)
 
 
 # -- Monte Carlo census -------------------------------------------------------
@@ -817,7 +803,7 @@ def census(
     system: str,
     samples_per_label: int,
     seed: int,
-    cfg: PathConfig | None = None,
+    tol: float = TOL,
 ) -> CensusReport:
     """Sample every component, classify, and collect path evidence.
 
@@ -830,14 +816,14 @@ def census(
     left without a verified path: a certificate joins a sample to its own
     label's canonical representative, never two labels to each other.
     """
-    cfg = cfg or PathConfig()
     if system == "fix":
         labels, closed = enumerate_fix_labels(n), count_fix(n)
-        sample, classify, path = randomized_representative, classify_fix, canonical_path
+        sample, classify = randomized_representative, classify_fix
+        build = lambda rep, got: _fix_path_points(rep, n, got)
     elif system == "torus":
         labels, closed = enumerate_torus_labels(n), count_torus(n)
         sample, classify = randomized_torus_representative, classify_torus
-        path = canonical_torus_path
+        build = lambda trep, got: _torus_path_points(trep, n, got, tol)
     else:
         raise ValueError(f"census runs on 'fix' or 'torus', not {system!r}")
     system_id = _SYSTEM_IDS[system]
@@ -852,15 +838,15 @@ def census(
             rng = np.random.default_rng([seed, system_id, li, i])
             try:
                 rep = sample(n, label, rng)
-                got = classify(rep, n, cfg.residual_tol).text()
+                got = classify(rep, n, tol)
             except _SAMPLE_FAILURES:
                 continue
             classified += 1
-            observed.add(got)
-            if got != label.text():
+            observed.add(got.text())
+            if got != label:
                 anomalies += 1
             try:
-                cert = path(rep, n, cfg)
+                cert = _finish(build(rep, got), system, n, got.text(), tol)
             except _SAMPLE_FAILURES:
                 continue
             if verify_certificate(cert).ok:

@@ -445,7 +445,10 @@ def rep_to_dict(rep: Rep, n: int) -> dict:
 
 
 def _element_from(value, where: str) -> SU2:
-    if not isinstance(value, (list, tuple)) or len(value) != 4:
+    # a JSON bool is an int to isinstance, but not a number here
+    if not isinstance(value, (list, tuple)) or len(value) != 4 or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
+    ):
         raise ValueError(f"{where}: expected a list of 4 floats")
     try:
         return SU2(*(float(v) for v in value))
@@ -459,7 +462,7 @@ def rep_from_dict(data: dict) -> tuple[int, Rep]:
     fmt = data.get("format")
     if fmt != REP_FORMAT:
         raise ValueError(f"format: expected {REP_FORMAT!r}, found {fmt!r}")
-    if "n" not in data or not isinstance(data["n"], int):
+    if "n" not in data or not isinstance(data["n"], int) or isinstance(data["n"], bool):
         raise ValueError("n: missing or not an integer")
     for key in ("A", "B"):
         if key not in data or not isinstance(data[key], list) or len(data[key]) != 3:

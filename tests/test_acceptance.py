@@ -29,7 +29,7 @@ from repvar.components import (
     randomized_representative,
 )
 from repvar.connectivity import (
-    PathConfig,
+    TOL,
     canonical_path,
     census,
     certificate_from_dict,
@@ -152,10 +152,9 @@ def test_criterion_7_abelian_representations_are_fixed_and_central():
 
 
 def test_criterion_8_census_reproduces_the_counts():
-    cfg = PathConfig()
     for n in (1, 2, 3):
         for system in ("fix", "torus"):
-            report = census(n, system, 50, 2026, cfg)
+            report = census(n, system, 50, 2026, TOL)
             assert report.agrees_with_closed_form, (n, system, report.to_dict())
             assert report.estimated_components == report.closed_form
             assert report.overall_success_rate >= 0.95, (n, system)
@@ -166,13 +165,12 @@ def test_criterion_8_census_reproduces_the_counts():
 
 
 def test_criterion_9_certificate_soundness():
-    cfg = PathConfig()
     certs = []
     for n in (1, 2, 3):
         for li, label in enumerate(enumerate_fix_labels(n)):
             rng = np.random.default_rng([31, n, li])
             rep = randomized_representative(n, label, rng)
-            certs.append(canonical_path(rep, n, cfg))
+            certs.append(canonical_path(rep, n, TOL))
     for cert in certs:
         assert verify_certificate(cert).ok
     # fuzz against a certificate whose bounds are genuinely active, so that
@@ -182,7 +180,7 @@ def test_criterion_9_certificate_soundness():
     src = next(c for c in certs if c.n >= 2 and c.label != "central")
     start = src.points[0]
     end = start.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.5))
-    base = probe_path(start, end, "fix", src.n, cfg)
+    base = probe_path(start, end, "fix", src.n, TOL)
     assert verify_certificate(base).ok
     assert base.max_residual > 1e-13 and base.max_step > 1e-3
     wrong_label = (

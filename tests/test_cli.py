@@ -1,9 +1,12 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from repvar.cli import main
+from repvar.cli import build_parser, main
 from repvar.su2 import exp_axis_angle
 from repvar.varieties import load_rep, save_rep
 
@@ -206,6 +209,7 @@ def test_off_variety_file_fails_classify_and_probe(tmp_path, capsys):
         ("enumerate", "--n", "2", "--out", "labels.txt"),
         ("representative", "--n", "2", "--label", "central", "--format", "json"),
         ("probe", "a.json", "b.json", "--n", "2"),
+        ("probe", "a.json", "b.json", "--depth", "5"),
         ("census", "--n", "1", "--samples", "0"),
         ("census", "--n", "1", "--samples", "1", "--iters", "5"),
         ("verify", "--n", "1", "--iters", "5"),
@@ -216,3 +220,29 @@ def test_unread_flags_and_bad_samples_are_input_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+def _readme_options_table() -> dict[str, tuple[int, set[str]]]:
+    """Subcommand -> (positional count, option flags) from the README table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| subcommand | options |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for row in rows.splitlines():
+        commands, options = row.strip("|").split("|")
+        flags = set(re.findall(r"`(--[a-z-]+)`", options))
+        for command in re.findall(r"`([^`]+)`", commands):
+            name, *positionals = command.split()
+            table[name] = (len(positionals), flags)
+    return table
+
+
+def test_readme_options_table_matches_the_parser():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    parsed = {}
+    for name, sub in subparsers.choices.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        flags = {s for a in actions for s in a.option_strings}
+        parsed[name] = (sum(not a.option_strings for a in actions), flags)
+    assert _readme_options_table() == parsed

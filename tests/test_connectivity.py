@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repvar.components import (
+    SNAP_BAND,
     ComponentLabel,
     ResidualError,
     TorusLabel,
@@ -20,8 +21,8 @@ from repvar.components import (
     randomized_torus_representative,
 )
 from repvar.connectivity import (
+    TOL,
     LabelMismatchError,
-    PathConfig,
     canonical_path,
     canonical_torus_path,
     census,
@@ -32,7 +33,7 @@ from repvar.connectivity import (
     save_certificate,
     verify_certificate,
 )
-from repvar import connectivity, varieties
+from repvar import components, connectivity, varieties
 from repvar.commutator import sample_fiber, solve_commutator
 from repvar.su2 import (
     E1,
@@ -40,6 +41,7 @@ from repvar.su2 import (
     MINUS_ONE,
     ONE,
     SU2,
+    central_gap,
     commutator,
     exp_axis_angle,
     geodesic,
@@ -57,12 +59,10 @@ from repvar.varieties import (
     trivial_rep,
 )
 
-CFG = PathConfig()
-
 
 def test_probe_single_point():
     rep = canonical_representative(2, ComponentLabel("+", 0, 1))
-    cert = probe_path(rep, rep, "fix", 2, CFG)
+    cert = probe_path(rep, rep, "fix", 2, TOL)
     assert len(cert.points) == 1
     assert verify_certificate(cert).ok
 
@@ -71,7 +71,7 @@ def test_probe_same_label_pair():
     label = ComponentLabel("+", 0, 1)
     r0 = randomized_representative(2, label, np.random.default_rng([0, 1]))
     r1 = randomized_representative(2, label, np.random.default_rng([0, 2]))
-    cert = probe_path(r0, r1, "fix", 2, CFG)
+    cert = probe_path(r0, r1, "fix", 2, TOL)
     assert verify_certificate(cert).ok
     assert cert.label == label.text()
     assert cert.max_step <= MAX_STEP + 1e-12
@@ -81,7 +81,7 @@ def test_probe_refuses_mismatched_labels():
     r0 = randomized_representative(2, ComponentLabel("+", 0, 1), np.random.default_rng(3))
     r1 = randomized_representative(2, ComponentLabel("+", 1, 0), np.random.default_rng(4))
     with pytest.raises(LabelMismatchError):
-        probe_path(r0, r1, "fix", 2, CFG)
+        probe_path(r0, r1, "fix", 2, TOL)
 
 
 def test_probe_mismatch_fuzz():
@@ -92,20 +92,20 @@ def test_probe_mismatch_fuzz():
         ra = randomized_representative(3, lab_a, np.random.default_rng([5, i]))
         rb = randomized_representative(3, lab_b, np.random.default_rng([6, i]))
         with pytest.raises(LabelMismatchError):
-            probe_path(ra, rb, "fix", 3, CFG)
+            probe_path(ra, rb, "fix", 3, TOL)
 
 
 def test_probe_surface_system():
     r0 = random_surface_rep(np.random.default_rng(7))
     r1 = random_surface_rep(np.random.default_rng(8))
-    cert = probe_path(r0, r1, "surface", 0, CFG)
+    cert = probe_path(r0, r1, "surface", 0, TOL)
     assert verify_certificate(cert).ok
     assert cert.system == "surface"
 
 
 def test_canonical_path_from_canonical_point_is_short():
     rep = canonical_representative(3, ComponentLabel("-", 0, 1))
-    cert = canonical_path(rep, 3, CFG)
+    cert = canonical_path(rep, 3, TOL)
     assert verify_certificate(cert).ok
     assert len(cert.points) <= 3
     assert cert.points[-1].dist(rep) < 1e-12
@@ -114,7 +114,7 @@ def test_canonical_path_from_canonical_point_is_short():
 def test_canonical_path_randomized():
     rng = np.random.default_rng(9)
     rep = randomized_representative(3, ComponentLabel("-", 0, 1), rng)
-    cert = canonical_path(rep, 3, CFG)
+    cert = canonical_path(rep, 3, TOL)
     assert verify_certificate(cert).ok
     target = canonical_representative(3, ComponentLabel("-", 0, 1))
     assert cert.points[-1].dist(target) < 1e-9
@@ -152,10 +152,10 @@ def test_moving_fiber_legs_take_no_newton_step(monkeypatch):
     ]
     for n, label, seed in starts:
         rep = randomized_representative(n, label, np.random.default_rng(seed))
-        assert verify_certificate(canonical_path(rep, n, CFG)).ok
+        assert verify_certificate(canonical_path(rep, n, TOL)).ok
     trep = randomized_torus_representative(2, TorusLabel(-1, ComponentLabel("+", 1, 0)),
                                            np.random.default_rng(11))
-    assert verify_certificate(canonical_torus_path(trep, 2, CFG)).ok
+    assert verify_certificate(canonical_torus_path(trep, 2, TOL)).ok
     assert seen == {"move-b1", "rotate-x", "diagonal-merge", "descend-n0"}
     assert calls == []
 
@@ -193,7 +193,7 @@ def test_blind_samples_path_and_verify(n, sample):
     rng = np.random.default_rng([7, sample])
     proj = varieties.project_to_variety(random_surface_rep(rng), n, "fix", tol=1e-10, max_iter=200)
     assert proj.converged
-    cert = canonical_path(proj.rep, n, CFG)
+    cert = canonical_path(proj.rep, n, TOL)
     assert verify_certificate(cert).ok
     assert cert.max_residual < 1e-9
 
@@ -205,7 +205,7 @@ def test_canonical_path_abelian_stays_commuting():
     rep = SurfaceRep(
         *(exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)) for _ in range(6))
     )
-    cert = canonical_path(rep, 2, CFG)
+    cert = canonical_path(rep, 2, TOL)
     assert verify_certificate(cert).ok
     assert cert.points[-1].dist(trivial_rep()) < 1e-9
     for point in cert.points:
@@ -223,7 +223,7 @@ def test_canonical_torus_path_flavors():
     rng = np.random.default_rng(11)
     label = TorusLabel(-1, ComponentLabel("+", 1, 0))
     trep = randomized_torus_representative(2, label, rng)
-    cert = canonical_torus_path(trep, 2, CFG)
+    cert = canonical_torus_path(trep, 2, TOL)
     assert verify_certificate(cert).ok
     assert cert.points[-1].dist(canonical_torus_representative(2, label)) < 1e-9
 
@@ -231,7 +231,7 @@ def test_canonical_torus_path_flavors():
     axis = (0.0, 0.0, 1.0)
     tup = SurfaceRep(*(exp_axis_angle(axis, 0.3 * (i + 1)) for i in range(6)))
     trep = TorusRep(exp_axis_angle(axis, 1.1), tup)
-    cert = canonical_torus_path(trep, 3, CFG)
+    cert = canonical_torus_path(trep, 3, TOL)
     assert verify_certificate(cert).ok
 
 
@@ -248,7 +248,7 @@ def _assert_descends_to_plus_one(cert, descent):
 @pytest.mark.parametrize("n", [0, 2, 3, -4])
 def test_bridge_to_plus_one(n):
     # central T = -1 needs the bridge to (1, trivial)
-    cert = canonical_torus_path(TorusRep(MINUS_ONE, trivial_rep()), n, CFG)
+    cert = canonical_torus_path(TorusRep(MINUS_ONE, trivial_rep()), n, TOL)
     _assert_descends_to_plus_one(cert, connectivity._bridge_to_plus_one(n))
 
 
@@ -256,7 +256,7 @@ def test_bridge_to_plus_one(n):
 def test_boundary_stratum_descent(n, seed):
     # T X^n central with T non-central; seed 11 draws s = 1, seed 12 s = -1
     trep = random_extended_fixed_sample(n, np.random.default_rng(seed))
-    cert = canonical_torus_path(trep, n, CFG)
+    cert = canonical_torus_path(trep, n, TOL)
     assert cert.label == "central"
     descent = connectivity._boundary_stratum_descent(trep, n)
     _assert_descends_to_plus_one(cert, descent)
@@ -289,7 +289,7 @@ def _antipodal_starts():
 def test_antipodal_starts_detour_and_verify(system, n, start, end):
     assert residual_for(start, system, n).max < 1e-12
     path = canonical_path if system == "fix" else canonical_torus_path
-    cert = path(start, n, CFG)
+    cert = path(start, n, TOL)
     assert verify_certificate(cert).ok
     assert cert.max_step <= MAX_STEP + 1e-12
     assert cert.points[0].dist(start) < 1e-12
@@ -299,7 +299,7 @@ def test_antipodal_starts_detour_and_verify(system, n, start, end):
 def test_verify_rejects_corrupted_point():
     rng = np.random.default_rng(14)
     rep = randomized_representative(2, ComponentLabel("+", 0, 1), rng)
-    cert = canonical_path(rep, 2, CFG)
+    cert = canonical_path(rep, 2, TOL)
     assert verify_certificate(cert).ok
     doc = certificate_to_dict(cert)
     broken = json.loads(json.dumps(doc))
@@ -314,7 +314,7 @@ def test_verify_rejects_corrupted_point():
 def test_verify_rejects_mismatched_endpoint():
     rng = np.random.default_rng(15)
     rep = randomized_representative(2, ComponentLabel("+", 0, 1), rng)
-    cert = canonical_path(rep, 2, CFG)
+    cert = canonical_path(rep, 2, TOL)
     doc = certificate_to_dict(cert)
     # swap the final point for a representative of a different component
     other = canonical_representative(2, ComponentLabel("+", 1, 0))
@@ -327,9 +327,9 @@ def _sample_certificate(system):
     rng = np.random.default_rng(18)
     if system == "fix":
         rep = randomized_representative(2, ComponentLabel("+", 0, 1), rng)
-        return canonical_path(rep, 2, CFG)
+        return canonical_path(rep, 2, TOL)
     label = TorusLabel(-1, ComponentLabel("+", 1, 0))
-    return canonical_torus_path(randomized_torus_representative(2, label, rng), 2, CFG)
+    return canonical_torus_path(randomized_torus_representative(2, label, rng), 2, TOL)
 
 
 def _refuse_reading_at(monkeypatch, system, refused):
@@ -363,10 +363,10 @@ def test_probe_refuses_unclassifiable_projections(monkeypatch, system):
     cert = _sample_certificate(system)
     r0 = cert.points[0]
     r1 = r0.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.5))
-    assert verify_certificate(probe_path(r0, r1, system, 2, CFG)).ok
+    assert verify_certificate(probe_path(r0, r1, system, 2, TOL)).ok
     _refuse_reading_at(monkeypatch, system, lambda p: p is not r0 and p is not r1)
     with pytest.raises(connectivity.PathError) as err:
-        probe_path(r0, r1, system, 2, CFG)
+        probe_path(r0, r1, system, 2, TOL)
     assert err.value.stage == "probe"
 
 
@@ -395,8 +395,8 @@ def test_path_construction_draws_no_random_numbers(monkeypatch):
         raise AssertionError("path construction created a random generator")
 
     monkeypatch.setattr(np.random, "default_rng", no_generators)
-    certs = [canonical_path(rep, n, CFG) for n, rep in fix_starts]
-    certs += [canonical_torus_path(trep, n, CFG) for n, trep in torus_starts]
+    certs = [canonical_path(rep, n, TOL) for n, rep in fix_starts]
+    certs += [canonical_torus_path(trep, n, TOL) for n, trep in torus_starts]
     assert all(verify_certificate(cert).ok for cert in certs)
     assert [cert.label for cert in certs] == ["-,0,1"] + ["central"] * 2 + [
         off_center.text()
@@ -410,7 +410,7 @@ def test_verify_rejects_understated_bounds():
     rng = np.random.default_rng(16)
     rep = randomized_representative(2, ComponentLabel("+", 1, 0), rng)
     rep1 = rep.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.5))
-    cert = probe_path(rep, rep1, "fix", 2, CFG)
+    cert = probe_path(rep, rep1, "fix", 2, TOL)
     assert cert.max_residual > 1e-13
     doc = certificate_to_dict(cert)
     doc["max_residual"] = 1e-300
@@ -423,7 +423,7 @@ def test_verify_rejects_understated_bounds():
 def test_verify_rejects_step_bound_above_max_step():
     # the two endpoints of a path, 2.45 rad apart, with that step stated
     rep = randomized_representative(3, ComponentLabel("+", 0, 1), np.random.default_rng(5))
-    cert = canonical_path(rep, 3, CFG)
+    cert = canonical_path(rep, 3, TOL)
     ends = (cert.points[0], cert.points[-1])
     step = step_between(ends[0].elements(), ends[1].elements())
     assert step > 2.4
@@ -456,12 +456,20 @@ def test_verify_rejects_step_bound_above_max_step():
         (lambda doc: {**doc, "max_step": None}, "max_step: expected float, found None"),
         (lambda doc: {**doc, "max_step": [1]}, "max_step: expected float, found [1]"),
         (lambda doc: {**doc, "label": None}, "label: expected str, found None"),
+        (lambda doc: {**doc, "n": True}, "n: expected int, found True"),
+        (lambda doc: {**doc, "tol": True}, "tol: expected float, found True"),
+        (lambda doc: {**doc, "tol": False}, "tol: expected float, found False"),
+        (lambda doc: {**doc, "max_residual": True}, "max_residual: expected float, found True"),
+        (lambda doc: {**doc, "max_residual": False}, "max_residual: expected float, found False"),
+        (lambda doc: {**doc, "max_step": True}, "max_step: expected float, found True"),
+        (lambda doc: {**doc, "max_step": False}, "max_step: expected float, found False"),
     ],
     ids=[
         "not-object", "format", "missing-key", "system", "bad-point", "kind",
         "points-int", "points-null", "n-null", "n-float", "tol-null", "tol-list",
         "max-residual-null", "max-residual-list", "max-step-null", "max-step-list",
-        "label-null",
+        "label-null", "n-true", "tol-true", "tol-false", "max-residual-true",
+        "max-residual-false", "max-step-true", "max-step-false",
     ],
 )
 def test_certificate_from_dict_rejects_malformed_documents(mutate, message):
@@ -475,7 +483,7 @@ def test_certificate_from_dict_rejects_malformed_documents(mutate, message):
 def test_certificate_file_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     rep = randomized_representative(2, ComponentLabel("+", 0, 1), rng)
-    cert = canonical_path(rep, 2, CFG)
+    cert = canonical_path(rep, 2, TOL)
     path = tmp_path / "cert.json"
     save_certificate(path, cert)
     loaded = load_certificate(path)
@@ -487,14 +495,14 @@ def test_certificate_file_roundtrip(tmp_path):
 
 
 def test_census_small():
-    report = census(2, "fix", 8, 99, CFG)
+    report = census(2, "fix", 8, 99, TOL)
     assert report.agrees_with_closed_form
     assert report.estimated_components == 3
     assert report.path_classes == 3
     assert report.cross_label_certificates == 0
     assert report.label_anomalies == 0
     assert report.overall_success_rate >= 0.95
-    report = census(2, "torus", 6, 99, CFG)
+    report = census(2, "torus", 6, 99, TOL)
     assert report.agrees_with_closed_form
     assert report.estimated_components == 5
     assert report.cross_label_certificates == 0
@@ -514,7 +522,7 @@ def test_census_path_classes_count_unpathed_samples(monkeypatch):
         return verify(cert)
 
     monkeypatch.setattr(connectivity, "verify_certificate", every_third_rejected)
-    report = census(2, "fix", 3, 4, CFG)
+    report = census(2, "fix", 3, 4, TOL)
     unpathed = sum(row.samples - row.path_ok for row in report.rows)
     assert unpathed == 3
     assert report.unresolved_samples == 3
@@ -541,24 +549,48 @@ def test_census_counts_sample_failures_and_raises_bugs(monkeypatch, error, count
     def failing(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(connectivity, "canonical_path", failing)
+    monkeypatch.setattr(connectivity, "_fix_path_points", failing)
     if counted:
-        report = census(2, "fix", 1, 0, CFG)
+        report = census(2, "fix", 1, 0, TOL)
         assert report.unresolved_samples == len(report.rows) == 3
     else:
         with pytest.raises(type(error)):
-            census(2, "fix", 1, 0, CFG)
+            census(2, "fix", 1, 0, TOL)
+
+
+def test_census_classifies_each_sample_once(monkeypatch):
+    calls = {"fix": [], "torus": []}
+
+    def counting(kind, classify):
+        def wrapper(rep, n, tol):
+            calls[kind].append(rep)
+            return classify(rep, n, tol)
+
+        return wrapper
+
+    for kind, name in (("fix", "classify_fix"), ("torus", "classify_torus")):
+        wrapper = counting(kind, getattr(components, name))
+        for module in (components, connectivity):
+            monkeypatch.setattr(module, name, wrapper)
+    report = census(2, "fix", 3, 5, TOL)
+    assert len(calls["fix"]) == 3 * len(report.rows) and not calls["torus"]
+    calls["fix"].clear()
+    report = census(3, "torus", 2, 5, TOL)
+    assert len(calls["torus"]) == 2 * len(report.rows) and not calls["fix"]
+    # the torus census includes samples with central T, which lift fix paths
+    assert sum(central_gap(trep.t)[0] <= SNAP_BAND for trep in calls["torus"]) > 2
+    assert report.overall_success_rate == 1.0
 
 
 def test_census_determinism():
-    a = census(2, "fix", 4, 7, CFG).to_dict()
-    b = census(2, "fix", 4, 7, CFG).to_dict()
+    a = census(2, "fix", 4, 7, TOL).to_dict()
+    b = census(2, "fix", 4, 7, TOL).to_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_census_rejects_unknown_system():
     with pytest.raises(ValueError):
-        census(2, "nope", 4, 7, CFG)
+        census(2, "nope", 4, 7, TOL)
 
 
 def test_probe_budget_counts_every_projection(monkeypatch):
@@ -580,8 +612,9 @@ def test_probe_budget_counts_every_projection(monkeypatch):
     monkeypatch.setattr(connectivity, "project_to_variety", counting)
     for depth in (4, 9):
         calls.clear()
+        monkeypatch.setattr(connectivity, "BISECTION_DEPTH", depth)
         with pytest.raises(connectivity.PathError) as err:
-            probe_path(r0, r1, "fix", 3, PathConfig(bisection_depth=depth))
+            probe_path(r0, r1, "fix", 3, TOL)
         assert err.value.stage == "probe"
         assert 0 < len(calls) <= 2**depth
 
@@ -638,11 +671,11 @@ def test_batched_residuals_match_float_path(monkeypatch):
     rng = np.random.default_rng(31)
     batches = list(_edge_cases(rng))
     rep = randomized_representative(3, ComponentLabel("-", 1, 0), rng)
-    batches.append(("fix", 3, canonical_path(rep, 3, CFG).points))
+    batches.append(("fix", 3, canonical_path(rep, 3, TOL).points))
     for label in (TorusLabel(-1, ComponentLabel("+", 1, 0)), TorusLabel()):
         for _ in range(2):
             trep = randomized_torus_representative(-3, label, rng)
-            batches.append(("torus", -3, canonical_torus_path(trep, -3, CFG).points))
+            batches.append(("torus", -3, canonical_torus_path(trep, -3, TOL).points))
     # the float path serves small batches; force the array kernel throughout
     monkeypatch.setattr(varieties, "_BATCH_MIN", 0)
     for system, n, points in batches:

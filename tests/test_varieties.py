@@ -330,3 +330,17 @@ def test_serialization_errors_name_the_offending_key():
     bad["B"] = [good["B"][0], good["B"][1], [1.0, 0.0, 0.0]]
     with pytest.raises(ValueError, match=r"B\[2\]"):
         rep_from_dict(bad)
+    # a JSON bool is an int to Python, and a string converts with float()
+    bad = dict(good)
+    bad["n"] = True
+    with pytest.raises(ValueError, match="^n: missing or not an integer$"):
+        rep_from_dict(bad)
+    for value in ("1", True):
+        bad = dict(good)
+        bad["A"] = [good["A"][0], [value, 0.0, 0.0, 0.0], good["A"][2]]
+        with pytest.raises(ValueError, match=r"^A\[1\]: expected a list of 4 floats$"):
+            rep_from_dict(bad)
+    bad = dict(good)
+    bad["T"] = [True, 0, 0, 0]
+    with pytest.raises(ValueError, match="^T: expected a list of 4 floats$"):
+        rep_from_dict(bad)
