@@ -45,7 +45,7 @@ from .su2 import (
     haar_random,
     qcommutator,
     step_between,
-    step_count,
+    stepped,
     torus_snap,
 )
 
@@ -220,14 +220,7 @@ def _commuting_stratum_route(p0: Pair, p1: Pair) -> list[Pair]:
         nodes += [(m, ONE) for m in contract_to_one(a)]
         return nodes
 
-    nodes = to_identity(p0) + list(reversed(to_identity(p1)))
-    # drop exactly duplicated consecutive nodes (snap may be a no-op)
-    deduped = [nodes[0]]
-    for node in nodes[1:]:
-        prev = deduped[-1]
-        if prev[0].dist(node[0]) + prev[1].dist(node[1]) > 1e-15:
-            deduped.append(node)
-    return deduped
+    return to_identity(p0) + list(reversed(to_identity(p1)))
 
 
 def _trace_roots(u: SU2, axis, target: float) -> tuple[float, list[float]]:
@@ -243,8 +236,7 @@ def _trace_roots(u: SU2, axis, target: float) -> tuple[float, list[float]]:
 def _twist_leg(pair: Pair, which: int, s: float) -> list[Pair]:
     """Nodes after `pair` as element `which` turns by s along the other's torus."""
     axis = pair[1 - which].axis()
-    k = step_count(abs(s))
-    return [_twist(pair, which, exp_axis_angle(axis, s * i / k)) for i in range(1, k + 1)]
+    return stepped(lambda t: _twist(pair, which, exp_axis_angle(axis, s * t)), abs(s))
 
 
 def _turn_leg(pair: Pair, axis, psi: float) -> list[Pair]:

@@ -83,11 +83,12 @@ from .su2 import (
     commute_pairwise,
     conjugators,
     contract_to_one,
+    contraction,
     exp_axis_angle,
     geodesic,
-    geodesic_to_one,
     step_between,
     step_count,
+    stepped,
     torus_snap,
 )
 from .varieties import (
@@ -190,13 +191,19 @@ def _constant_angle_path(x: SU2, target_axis) -> tuple[Callable[[float], SU2], f
 def _finish(
     points: list[Rep], system: str, n: int, label_text: str, tol: float
 ) -> PathCertificate:
-    """Keep each point more than 1e-14 from the last kept one; check the bounds."""
-    pts, max_step = [points[0]], 0.0
+    """Keep each point more than 1e-14 from the last kept one, and end on the
+    last point, in place of its near-duplicate; check the bounds."""
+    pts, steps = [points[0]], [0.0]
     for p in points[1:]:
         step = step_between(pts[-1].elements(), p.elements())
         if step > 1e-14:
             pts.append(p)
-            max_step = max(max_step, step)
+            steps.append(step)
+    if pts[-1] is not points[-1]:
+        pts[-1] = points[-1]
+        if len(pts) > 1:
+            steps[-1] = step_between(pts[-2].elements(), pts[-1].elements())
+    max_step = max(steps)
     max_residual = float(residual_array(pts, system, n).max())
     if max_residual > tol:
         raise PathError(
@@ -231,7 +238,7 @@ def _label_texts(
                 out.append(read_fix_label(p, n, fix_res, tol).text())
             else:
                 out.append(read_torus_label(p, n, res, fix_res, tol).text())
-        except ValueError:
+        except (Unclassifiable, ResidualError):
             out.append(None)
     return residuals, out
 
@@ -379,7 +386,7 @@ def _track_b1_leg(rep: SurfaceRep) -> list[SurfaceRep]:
         return []
     y3inv = commutator(rep.a3, rep.b3).inverse()
     a1 = rep.a1
-    b1_path, speed = geodesic_to_one(rep.b1, E1 if a1.is_central(1e-9) else a1.axis())
+    b1_path, speed = contraction(rep.b1, E1 if a1.is_central(1e-9) else a1.axis())
 
     def targets(t: float) -> tuple[SU2]:
         return (commutator(a1, b1_path(t)).inverse() * y3inv,)
@@ -437,7 +444,7 @@ def _central_descent(rep: SurfaceRep, m: int) -> list[SurfaceRep]:
         # every admissible tuple is a solution: pull [A3, B3] to 1 directly
         y0 = commutator(rep.a3, rep.b3)
         if y0.dist(ONE) > 1e-12:
-            merge = (*geodesic_to_one(y0, E1), "descend-n0")
+            merge = (*contraction(y0, E1), "descend-n0")
     else:
         gap, sigma = central_gap(rep.a1.power(m))
         if gap > REFUSE_BAND:
@@ -542,19 +549,16 @@ def _trade_a1_against_t(rep: SurfaceRep, n: int, s_sign: int, axis) -> list[Toru
     s = ONE if s_sign > 0 else MINUS_ONE
     theta0 = rep.a1.angle()
     theta1 = 0.0 if s_sign > 0 else math.pi / abs(n)
-    steps = step_count((1 + abs(n)) * abs(theta0 - theta1))
-    b1_inv = rep.b1.inverse()
-    out: list[TorusRep] = []
-    for i in range(1, steps + 1):
-        a = exp_axis_angle(axis, theta0 + (theta1 - theta0) * i / steps)
-        rep = replace(rep, a1=a, b3=a)
-        out.append(TorusRep(s * (rep.b1 * a.power(-n) * b1_inv), rep))
+    b1, b1_inv = rep.b1, rep.b1.inverse()
+
+    def family(t: float) -> TorusRep:
+        a = exp_axis_angle(axis, theta0 + (theta1 - theta0) * t)
+        return TorusRep(s * (b1 * a.power(-n) * b1_inv), replace(rep, a1=a, b3=a))
+
+    out = stepped(family, (1 + abs(n)) * abs(theta0 - theta1))
     # the family ends at T = +1 up to rounding
-    b1_path, speed = geodesic_to_one(rep.b1, axis)
-    steps = step_count(speed)
-    for i in range(1, steps + 1):
-        node = b1_path(i / steps)
-        out.append(TorusRep(ONE, replace(out[-1].rep, b1=node, a3=node)))
+    end = out[-1].rep
+    out += [TorusRep(ONE, replace(end, b1=b, a3=b)) for b in contract_to_one(b1, axis)]
     return out + _contract(out[-1], ("b3", "a1"), axis)
 
 

@@ -48,9 +48,10 @@ __all__ = [
     "random_axis",
     "MAX_STEP",
     "step_count",
+    "contraction",
+    "stepped",
     "contract_to_one",
     "conjugators",
-    "geodesic_to_one",
 ]
 
 
@@ -160,13 +161,8 @@ class SU2:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
     def dist(self, other: "SU2") -> float:
-        """Euclidean norm of the 4-vector difference."""
-        return math.sqrt(
-            (self.w - other.w) ** 2
-            + (self.x - other.x) ** 2
-            + (self.y - other.y) ** 2
-            + (self.z - other.z) ** 2
-        )
+        """Euclidean norm of the 4-vector difference: the chord to other."""
+        return math.hypot(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
 
     def dot(self, other: "SU2") -> float:
         return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
@@ -273,13 +269,18 @@ def geodesic(u: SU2, v: SU2, t: float) -> SU2:
 
 
 def geodesic_distance(u: SU2, v: SU2) -> float:
-    """Arc length between u and v on the unit 3-sphere, in [0, pi]."""
-    return math.acos(_clamp(u.dot(v)))
+    """Arc length between u and v on the unit 3-sphere, in [0, pi], read as
+    2 atan2(|u - v|, |u + v|): like SU2.angle, and unlike arccos(u . v), it
+    resolves arcs within rounding of 0 and pi."""
+    return 2.0 * math.atan2(u.dist(v), math.hypot(u.w + v.w, u.x + v.x, u.y + v.y, u.z + v.z))
 
 
 def step_between(us: Sequence[SU2], vs: Sequence[SU2]) -> float:
-    """Largest geodesic distance between paired elements of two tuples."""
-    return max(geodesic_distance(u, v) for u, v in zip(us, vs))
+    """Largest geodesic distance between paired elements of two tuples: the
+    arc of the pair with the longest chord, which orders pairs as the arc does."""
+    chords = [u.dist(v) for u, v in zip(us, vs)]
+    i = chords.index(max(chords))
+    return geodesic_distance(us[i], vs[i])
 
 
 def haar_random(rng: np.random.Generator) -> SU2:
@@ -308,19 +309,31 @@ def step_count(dist: float) -> int:
     return max(1, math.ceil(dist / MAX_STEP))
 
 
-def contract_to_one(el: SU2, axis=E1) -> list[SU2]:
-    """Nodes after el down to 1 along its maximal torus, stepped.
+def contraction(u: SU2, axis=E1) -> tuple[Callable[[float], SU2], float]:
+    """The path t -> exp((1 - t) theta axis(u)) from u (t = 0) to 1 (t = 1)
+    along u's maximal torus, theta = angle(u), and its length theta.
 
     An element within 1e-12 of the center has no reliable axis of its own
     and contracts along `axis` (from -1 as well).
     """
-    theta = el.angle()
-    if theta < 1e-15:
-        return []
-    if math.sqrt(el.x**2 + el.y**2 + el.z**2) > 1e-12:
-        axis = el.axis()
-    steps = step_count(theta)
-    return [exp_axis_angle(axis, theta * (1 - i / steps)) for i in range(1, steps + 1)]
+    theta = u.angle()
+    if math.sqrt(u.x**2 + u.y**2 + u.z**2) > 1e-12:
+        axis = u.axis()
+    return (lambda t: exp_axis_angle(axis, (1 - t) * theta)), theta
+
+
+def stepped(path: Callable[[float], object], length: float) -> list:
+    """Nodes path(i / k), i = 1..k, for k = step_count(length): within
+    MAX_STEP of each other when `length` bounds the path's geodesic speed
+    in every coordinate it moves.  The one place a path is cut into steps."""
+    k = step_count(length)
+    return [path(i / k) for i in range(1, k + 1)]
+
+
+def contract_to_one(el: SU2, axis=E1) -> list[SU2]:
+    """Nodes after el down to 1 along its contraction, stepped; none from 1."""
+    path, theta = contraction(el, axis)
+    return stepped(path, theta) if theta >= 1e-15 else []
 
 
 def conjugators(g: SU2) -> list[SU2]:
@@ -333,26 +346,7 @@ def conjugators(g: SU2) -> list[SU2]:
         return []
     theta = g.angle()
     axis = g.axis()
-    steps = step_count(2.0 * theta)
-    return [exp_axis_angle(axis, theta * i / steps) for i in range(1, steps + 1)]
-
-
-def geodesic_to_one(u: SU2, way_axis) -> tuple[Callable[[float], SU2], float]:
-    """A path from u (t = 0) to 1 (t = 1) and a bound on its speed.
-
-    The geodesic; from (nearly) -1, where it is not unique, two geodesics
-    through the quarter turn about `way_axis`.
-    """
-    if u.dot(ONE) >= -1.0 + 1e-9:
-        return (lambda t: geodesic(u, ONE, t)), geodesic_distance(u, ONE)
-    mid = exp_axis_angle(way_axis, math.pi / 2.0)
-
-    def path(t: float) -> SU2:
-        if t <= 0.5:
-            return geodesic(u, mid, 2.0 * t)
-        return geodesic(mid, ONE, 2.0 * t - 1.0)
-
-    return path, 2.0 * max(geodesic_distance(u, mid), geodesic_distance(mid, ONE))
+    return stepped(lambda t: exp_axis_angle(axis, theta * t), 2.0 * theta)
 
 
 def _orthogonal_axis(a: tuple[float, float, float]) -> tuple[float, float, float]:

@@ -103,6 +103,24 @@ def test_probe_surface_system():
     assert cert.system == "surface"
 
 
+@pytest.mark.parametrize("system", ["fix", "torus"])
+def test_canonical_certificates_end_on_the_canonical_representative(system):
+    # the last node is the representative itself, not a near-duplicate of it
+    for n in (2, -3):
+        if system == "fix":
+            labels, sample = enumerate_fix_labels(n), randomized_representative
+            path, target = canonical_path, canonical_representative
+        else:
+            labels, sample = enumerate_torus_labels(n), randomized_torus_representative
+            path, target = canonical_torus_path, canonical_torus_representative
+        for li, label in enumerate(labels):
+            cert = path(sample(n, label, np.random.default_rng([23, li])), n, TOL)
+            end = target(n, label)
+            assert [e.to_list() for e in cert.points[-1].elements()] == [
+                e.to_list() for e in end.elements()
+            ], (n, label)
+
+
 def test_canonical_path_from_canonical_point_is_short():
     rep = canonical_representative(3, ComponentLabel("-", 0, 1))
     cert = canonical_path(rep, 3, TOL)
@@ -332,14 +350,14 @@ def _sample_certificate(system):
     return canonical_torus_path(randomized_torus_representative(2, label, rng), 2, TOL)
 
 
-def _refuse_reading_at(monkeypatch, system, refused):
-    """Make the label reading of `system` fail at the points `refused(p)` picks."""
+def _refuse_reading_at(monkeypatch, system, refused, error=Unclassifiable("refused")):
+    """Make the label reading of `system` raise `error` at the points `refused(p)` picks."""
     name = "read_fix_label" if system == "fix" else "read_torus_label"
     read = getattr(connectivity, name)
 
     def reading(p, *args):
         if refused(p):
-            raise Unclassifiable("label reading refused")
+            raise error
         return read(p, *args)
 
     monkeypatch.setattr(connectivity, name, reading)
@@ -354,6 +372,17 @@ def test_verify_rejects_unclassifiable_interior_point(monkeypatch, system):
     _refuse_reading_at(monkeypatch, system, lambda p: p is cert.points[idx])
     report = verify_certificate(cert)
     assert report.problems == (f"point {idx} is unclassifiable",)
+
+
+@pytest.mark.parametrize("system", ["fix", "torus"])
+def test_verify_raises_a_reading_bug(monkeypatch, system):
+    # only the readings' refusals mark a point unclassifiable: a plain
+    # ValueError is a programming error and propagates
+    cert = _sample_certificate(system)
+    bug = ValueError("a programming error")
+    _refuse_reading_at(monkeypatch, system, lambda p: p is cert.points[1], bug)
+    with pytest.raises(ValueError, match="a programming error"):
+        verify_certificate(cert)
 
 
 @pytest.mark.parametrize("system", ["fix", "torus"])

@@ -17,12 +17,14 @@ from repvar.su2 import (
     commutator,
     conjugators,
     contract_to_one,
+    contraction,
     exp_axis_angle,
     geodesic,
     geodesic_distance,
-    geodesic_to_one,
     haar_random,
     qpow,
+    step_count,
+    stepped,
 )
 
 
@@ -124,6 +126,16 @@ def test_geodesic():
     assert geodesic(ONE, I, 0.5).dist(exp_axis_angle(E1, math.pi / 4)) < 1e-12
     with pytest.raises(ValueError):
         geodesic(u, -u, 0.5)
+    # arcs read from chords: exact 0 on identical elements, and arcs within
+    # rounding of 0 and pi resolved (pi's spacing 4.4e-16 bounds the latter)
+    assert geodesic_distance(u, u) == 0.0
+    for v in (ONE, K):
+        assert geodesic_distance(v, v * exp_axis_angle(E1, 1e-12)) == pytest.approx(
+            1e-12, rel=1e-6
+        )
+        far = v * exp_axis_angle(E1, math.pi - 1e-12)
+        assert geodesic_distance(v, far) == pytest.approx(math.pi - 1e-12, rel=1e-6)
+        assert math.pi - geodesic_distance(v, far) == pytest.approx(1e-12, rel=1e-3)
 
 
 def test_haar_determinism_and_moments():
@@ -181,15 +193,20 @@ def test_stepped_paths_respect_the_step_bound():
     for h0, h1 in zip([ONE, *hs], hs):
         assert geodesic_distance(x.conjugate_by(h0), x.conjugate_by(h1)) <= 0.2 + 1e-12
     assert conjugators(MINUS_ONE) == []
-    # geodesic to 1: from -1 through the quarter turn, within the speed bound
-    for start in (u, MINUS_ONE):
-        path, speed = geodesic_to_one(start, axis)
+    # contraction to 1 within its length, along `axis` from within 1e-12 of
+    # -1; stepped cuts it into step_count(length) nodes ending at path(1)
+    near_minus_one = SU2(-1.0, 3e-14, -4e-14, 0.0)
+    for start in (u, MINUS_ONE, near_minus_one):
+        path, length = contraction(start, axis)
         ts = [i / 64 for i in range(65)]
-        assert path(0.0).dist(start) < 1e-12 and path(1.0).dist(ONE) < 1e-12
+        assert path(0.0).dist(start) < 1e-12 and path(1.0).dist(ONE) == 0.0
         for s, t in zip(ts, ts[1:]):
-            assert geodesic_distance(path(s), path(t)) <= speed * (t - s) + 1e-12
-    path, _ = geodesic_to_one(MINUS_ONE, axis)
-    assert path(0.5).dist(exp_axis_angle(axis, math.pi / 2)) < 1e-12
+            assert geodesic_distance(path(s), path(t)) <= length * (t - s) + 1e-12
+        nodes = stepped(path, length)
+        assert len(nodes) == step_count(length) and nodes[-1].dist(path(1.0)) == 0.0
+    for start in (MINUS_ONE, near_minus_one):
+        path, _ = contraction(start, axis)
+        assert path(0.5).dist(exp_axis_angle(axis, math.pi / 2)) < 1e-12
 
 
 def test_is_central():
