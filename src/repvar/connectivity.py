@@ -27,8 +27,9 @@ stratum: snap to exactly-commuting tuples, contract along maximal tori,
 then contract A1.  Mapping-torus points with non-central T descend through
 the all-commuting stratum or, when T X^n is central, through an explicit
 family trading the angle of A1 against T (also the bridge from T = -1).
-A blind interpolate-and-project search (probe_path) is also provided; it
-may fail near the singular strata, where the staged routes remain available.
+probe_path joins two same-label points: the conjugation that best aligns
+the first with the second, then, unless that lands within one step, the
+canonical paths of both, the second reversed.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .commutator import (
     snap_commuting_pair,
 )
 from .components import (
+    CENTRAL,
     REFUSE_BAND,
     SNAP_BAND,
     TORUS_CENTRAL,
@@ -78,6 +80,7 @@ from .su2 import (
     ONE,
     SU2,
     axis_rotation,
+    best_conjugator,
     central_gap,
     commutator,
     commute_pairwise,
@@ -85,7 +88,6 @@ from .su2 import (
     contract_to_one,
     contraction,
     exp_axis_angle,
-    geodesic,
     step_between,
     step_count,
     stepped,
@@ -96,7 +98,6 @@ from .varieties import (
     SurfaceRep,
     TorusRep,
     derived_x,
-    project_to_variety,
     read_json,
     rep_from_dict,
     rep_to_dict,
@@ -475,7 +476,7 @@ def _central_descent(rep: SurfaceRep, m: int) -> list[SurfaceRep]:
 def canonical_path(rep: SurfaceRep, n: int, tol: float = TOL) -> PathCertificate:
     """Certificate from `rep` to the canonical representative of its label."""
     label = classify_fix(rep, n, tol)
-    return _finish(_fix_path_points(rep, n, label), "fix", n, label.text(), tol)
+    return _finish(_path_points(rep, "fix", n, label, tol), "fix", n, label.text(), tol)
 
 
 def _fix_path_points(rep: SurfaceRep, n: int, label: ComponentLabel) -> list[SurfaceRep]:
@@ -596,7 +597,7 @@ def _boundary_stratum_descent(trep: TorusRep, n: int) -> list[TorusRep]:
 def canonical_torus_path(trep: TorusRep, n: int, tol: float = TOL) -> PathCertificate:
     """Certificate from a mapping-torus point to its canonical representative."""
     label = classify_torus(trep, n, tol)
-    return _finish(_torus_path_points(trep, n, label, tol), "torus", n, label.text(), tol)
+    return _finish(_path_points(trep, "torus", n, label, tol), "torus", n, label.text(), tol)
 
 
 def _torus_path_points(
@@ -623,10 +624,19 @@ def _torus_path_points(
     return points
 
 
-# -- blind interpolate-and-project search ------------------------------------
+# -- the staged path of every system, and joins between two points -------------
 
-NODE_TOL = 1e-10  # residual target of every point probe_path projects
-BISECTION_DEPTH = 12  # halvings per step; the budget is 2**BISECTION_DEPTH projections
+def _path_points(
+    rep: Rep, system: str, n: int, label: ComponentLabel | TorusLabel, tol: float
+) -> list[Rep]:
+    """The staged path's nodes from `rep`, of component `label`, not yet
+    assembled.  The surface system takes the fixed-point path at n = 0,
+    where the fixed-point equations reduce to the relator."""
+    if system == "torus":
+        return _torus_path_points(rep, n, label, tol)
+    if system == "fix":
+        return _fix_path_points(rep, n, label)
+    return _fix_path_points(rep, 0, CENTRAL)
 
 
 def probe_path(
@@ -636,12 +646,13 @@ def probe_path(
     n: int,
     tol: float = TOL,
 ) -> PathCertificate:
-    """Bisection search for a certificate between same-label endpoints.
+    """Certificate between same-label endpoints.
 
-    Midpoints are per-coordinate geodesic averages re-projected onto the
-    variety.  Endpoints with different labels are refused immediately.
-    This search is allowed to fail near the singular strata; the staged
-    routes through canonical representatives remain available there.
+    The first leg conjugates r0 by the best-aligning conjugator, stepped;
+    the equations are conjugation invariant, so every node is exact.
+    Unless that leg ends within MAX_STEP of r1, the canonical paths from
+    its end and from r1 follow, the second reversed.  Endpoints with
+    different labels are refused immediately.
     """
     residuals, (label0, label1) = _label_texts([r0, r1], system, n, tol)
     for name, res in zip(("first", "second"), residuals):
@@ -652,52 +663,13 @@ def probe_path(
     if label0 != label1:
         raise LabelMismatchError(f"endpoint labels differ: {label0!r} vs {label1!r}")
 
-    is_torus = isinstance(r0, TorusRep)
-    rebuild = TorusRep.from_elements if is_torus else SurfaceRep.from_elements
-
-    def advance(a: Rep, b: Rep, frac: float) -> Rep:
-        els = [geodesic(u, v, frac) for u, v in zip(a.elements(), b.elements())]
-        proj = project_to_variety(rebuild(els), n, system, tol=NODE_TOL)
-        if not proj.converged:
-            raise PathError("projection off the interpolant failed", stage="probe")
-        _, (text,) = _label_texts([proj.rep], system, n, tol)
-        if text != label0:
-            raise PathError(
-                f"projected point left the component ({text!r})", stage="probe"
-            )
-        return proj.rep
-
-    # walk the interpolant from r0 toward r1, projecting each predictor;
-    # the fraction halves on failure, which plays the role of bisection
-    # depth.  Every projection attempt, placed or not, counts against one
-    # budget of 2**BISECTION_DEPTH, so a stuck walk fails fast.
-    points: list[Rep] = [r0]
-    budget = 2**BISECTION_DEPTH
-    end = r1.elements()
-    while (remaining := step_between(points[-1].elements(), end)) > MAX_STEP:
-        current = points[-1]
-        frac = min(1.0, 0.8 * MAX_STEP / remaining)
-        for _ in range(BISECTION_DEPTH):
-            if budget == 0:
-                raise PathError("projection budget exhausted", stage="probe")
-            budget -= 1
-            try:
-                nxt = advance(current, r1, frac)
-            except (PathError, ValueError):
-                frac *= 0.5
-                continue
-            step = step_between(current.elements(), nxt.elements())
-            if step <= MAX_STEP and (
-                step_between(nxt.elements(), end) < remaining - 0.25 * step
-            ):
-                points.append(nxt)
-                break
-            frac *= 0.5
-        else:
-            raise PathError(
-                f"no admissible step at distance {remaining:.3f} from the target",
-                stage="probe",
-            )
+    g = best_conjugator(r0.elements(), r1.elements())
+    points = [r0, *(r0.conjugate(h) for h in conjugators(g))]
+    if step_between(points[-1].elements(), r1.elements()) > MAX_STEP:
+        parse = TorusLabel.parse if system == "torus" else ComponentLabel.parse
+        label = parse(label0 or "central")  # the surface system reads no label
+        points += _path_points(points[-1], system, n, label, tol)
+        points += _path_points(r1, system, n, label, tol)[::-1]
     points.append(r1)
     return _finish(points, system, n, label0, tol)
 
@@ -823,11 +795,9 @@ def census(
     if system == "fix":
         labels, closed = enumerate_fix_labels(n), count_fix(n)
         sample, classify = randomized_representative, classify_fix
-        build = lambda rep, got: _fix_path_points(rep, n, got)
     elif system == "torus":
         labels, closed = enumerate_torus_labels(n), count_torus(n)
         sample, classify = randomized_torus_representative, classify_torus
-        build = lambda trep, got: _torus_path_points(trep, n, got, tol)
     else:
         raise ValueError(f"census runs on 'fix' or 'torus', not {system!r}")
     system_id = _SYSTEM_IDS[system]
@@ -850,7 +820,8 @@ def census(
             if got != label:
                 anomalies += 1
             try:
-                cert = _finish(build(rep, got), system, n, got.text(), tol)
+                points = _path_points(rep, system, n, got, tol)
+                cert = _finish(points, system, n, got.text(), tol)
             except _SAMPLE_FAILURES:
                 continue
             if verify_certificate(cert).ok:

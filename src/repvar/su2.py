@@ -52,6 +52,7 @@ __all__ = [
     "stepped",
     "contract_to_one",
     "conjugators",
+    "best_conjugator",
 ]
 
 
@@ -347,6 +348,24 @@ def conjugators(g: SU2) -> list[SU2]:
     theta = g.angle()
     axis = g.axis()
     return stepped(lambda t: exp_axis_angle(axis, theta * t), 2.0 * theta)
+
+
+def best_conjugator(us: Sequence[SU2], vs: Sequence[SU2]) -> SU2:
+    """The g, with w >= 0, whose simultaneous conjugation best aligns the
+    vector parts of us with those of vs: the top eigenvector of Horn's
+    symmetric 4x4 matrix ("Closed-form solution of absolute orientation
+    using unit quaternions", JOSA A 4, 1987)."""
+    v0 = np.array([(u.x, u.y, u.z) for u in us])
+    v1 = np.array([(v.x, v.y, v.z) for v in vs])
+    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = v0.T @ v1
+    horn = np.array([
+        [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+        [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+        [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
+        [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
+    ])
+    q = np.linalg.eigh(horn)[1][:, -1]
+    return SU2(*(q if q[0] >= 0 else -q).tolist())
 
 
 def _orthogonal_axis(a: tuple[float, float, float]) -> tuple[float, float, float]:

@@ -7,6 +7,7 @@ guarantees with a 10x safety margin where the criteria allow one.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,10 +35,18 @@ from repvar.connectivity import (
     census,
     certificate_from_dict,
     certificate_to_dict,
-    probe_path,
     verify_certificate,
 )
-from repvar.su2 import MINUS_ONE, ONE, SU2, commutator, exp_axis_angle, haar_random
+from repvar.su2 import (
+    MINUS_ONE,
+    ONE,
+    SU2,
+    commutator,
+    exp_axis_angle,
+    exp_tangent,
+    haar_random,
+    step_between,
+)
 from repvar.varieties import (
     CentralizerType,
     SurfaceRep,
@@ -45,7 +54,9 @@ from repvar.varieties import (
     centralizer_type,
     fixed_point_residual,
     random_surface_rep,
+    rep_from_dict,
     rep_to_dict,
+    residual_array,
     solve_intertwiner,
     torus_residual,
 )
@@ -174,13 +185,20 @@ def test_criterion_9_certificate_soundness():
     for cert in certs:
         assert verify_certificate(cert).ok
     # fuzz against a certificate whose bounds are genuinely active, so that
-    # understating them falsifies it: a probe certificate, whose interior
-    # points are Newton-made (canonical paths are exact up to rounding, and
-    # their residuals can sit within the verifier's 1e-14 slack)
+    # understating them falsifies it: canonical paths are exact up to
+    # rounding, and their residuals can sit within the verifier's 1e-14
+    # slack, so one interior node is kicked 1e-9 off the variety and both
+    # bounds are restated
     src = next(c for c in certs if c.n >= 2 and c.label != "central")
-    start = src.points[0]
-    end = start.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.5))
-    base = probe_path(start, end, "fix", src.n, TOL)
+    pts = list(src.points)
+    mid = len(pts) // 2
+    pts[mid] = replace(pts[mid], a2=exp_tangent((1e-9, 0.0, 0.0)) * pts[mid].a2)
+    base = replace(
+        src,
+        points=tuple(pts),
+        max_residual=float(residual_array(pts, "fix", src.n).max()),
+        max_step=max(step_between(p.elements(), q.elements()) for p, q in zip(pts, pts[1:])),
+    )
     assert verify_certificate(base).ok
     assert base.max_residual > 1e-13 and base.max_step > 1e-3
     wrong_label = (
@@ -195,9 +213,6 @@ def test_criterion_9_certificate_soundness():
             # kick one group element along a tangent direction that breaks
             # the stated residual bound (some coordinates are genuinely
             # free, e.g. B1 over A1 = 1, and kicking those stays valid)
-            from repvar.su2 import exp_tangent
-            from repvar.varieties import fixed_point_residual, rep_from_dict
-
             for _ in range(64):
                 idx = int(rng.integers(len(doc["points"])))
                 _, point = rep_from_dict(doc["points"][idx])

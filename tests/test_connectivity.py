@@ -33,7 +33,7 @@ from repvar.connectivity import (
     save_certificate,
     verify_certificate,
 )
-from repvar import components, connectivity, varieties
+from repvar import cli, components, connectivity, solvers, varieties
 from repvar.commutator import sample_fiber, solve_commutator
 from repvar.su2 import (
     E1,
@@ -44,6 +44,7 @@ from repvar.su2 import (
     central_gap,
     commutator,
     exp_axis_angle,
+    exp_tangent,
     geodesic,
     haar_random,
     random_axis,
@@ -56,32 +57,38 @@ from repvar.varieties import (
     rep_to_dict,
     residual_array,
     residual_for,
+    save_rep,
     trivial_rep,
 )
 
 
 def test_probe_single_point():
-    rep = canonical_representative(2, ComponentLabel("+", 0, 1))
-    cert = probe_path(rep, rep, "fix", 2, TOL)
-    assert len(cert.points) == 1
-    assert verify_certificate(cert).ok
+    for n, label in ((2, ComponentLabel("+", 0, 1)), (0, ComponentLabel()),
+                     (-3, ComponentLabel("-", 1, 0))):
+        rep = canonical_representative(n, label)
+        cert = probe_path(rep, rep, "fix", n, TOL)
+        assert len(cert.points) == 1
+        assert verify_certificate(cert).ok
 
 
 def test_probe_same_label_pair():
-    label = ComponentLabel("+", 0, 1)
-    r0 = randomized_representative(2, label, np.random.default_rng([0, 1]))
-    r1 = randomized_representative(2, label, np.random.default_rng([0, 2]))
-    cert = probe_path(r0, r1, "fix", 2, TOL)
-    assert verify_certificate(cert).ok
-    assert cert.label == label.text()
-    assert cert.max_step <= MAX_STEP + 1e-12
+    for n, label in ((2, ComponentLabel("+", 0, 1)), (0, ComponentLabel()),
+                     (-3, ComponentLabel("-", 1, 0)), (-1, ComponentLabel())):
+        r0 = randomized_representative(n, label, np.random.default_rng([0, 1]))
+        r1 = randomized_representative(n, label, np.random.default_rng([0, 2]))
+        cert = probe_path(r0, r1, "fix", n, TOL)
+        assert verify_certificate(cert).ok
+        assert cert.label == label.text()
+        assert cert.max_step <= MAX_STEP + 1e-12
+        assert cert.points[0] is r0 and cert.points[-1] is r1
 
 
 def test_probe_refuses_mismatched_labels():
-    r0 = randomized_representative(2, ComponentLabel("+", 0, 1), np.random.default_rng(3))
-    r1 = randomized_representative(2, ComponentLabel("+", 1, 0), np.random.default_rng(4))
-    with pytest.raises(LabelMismatchError):
-        probe_path(r0, r1, "fix", 2, TOL)
+    for n in (2, -2):
+        r0 = randomized_representative(n, ComponentLabel("+", 0, 1), np.random.default_rng(3))
+        r1 = randomized_representative(n, ComponentLabel("+", 1, 0), np.random.default_rng(4))
+        with pytest.raises(LabelMismatchError):
+            probe_path(r0, r1, "fix", n, TOL)
 
 
 def test_probe_mismatch_fuzz():
@@ -93,6 +100,41 @@ def test_probe_mismatch_fuzz():
         rb = randomized_representative(3, lab_b, np.random.default_rng([6, i]))
         with pytest.raises(LabelMismatchError):
             probe_path(ra, rb, "fix", 3, TOL)
+
+
+@pytest.mark.parametrize("system", ["fix", "torus"])
+def test_probe_joins_independent_samples_of_smooth_components(system):
+    # two independent samples of one smooth component at n = 3, several
+    # radians apart: no conjugation aligns them, so the join runs through
+    # the canonical representative
+    n = 3
+    if system == "fix":
+        labels, sample = enumerate_fix_labels(n), randomized_representative
+    else:
+        labels, sample = enumerate_torus_labels(n), randomized_torus_representative
+    joined = set()
+    for li, label in enumerate(labels):
+        fix = label if system == "fix" else label.fix
+        if fix.is_central or fix.k + fix.l != 1:
+            continue
+        for i in range(5):
+            rng = np.random.default_rng([11, li, i])
+            r0, r1 = sample(n, label, rng), sample(n, label, rng)
+            cert = probe_path(r0, r1, system, n, TOL)
+            assert verify_certificate(cert).ok and cert.label == label.text()
+            joined.add(label.text())
+    assert len(joined) == (4 if system == "fix" else 8)
+
+
+def test_probe_joins_the_ends_of_the_torus_central_component():
+    # (-1, trivial) and (1, trivial) are fixed by every conjugation and lie
+    # 3.14 rad apart in T: the conjugation leg is empty and the staged
+    # paths, with their bridge from T = -1, join them
+    start, end = TorusRep(MINUS_ONE, trivial_rep()), TorusRep(ONE, trivial_rep())
+    for n in (1, 2, 0, -3):
+        cert = probe_path(start, end, "torus", n, TOL)
+        assert verify_certificate(cert).ok and cert.label == "central"
+        assert cert.points[0] is start and cert.points[-1] is end
 
 
 def test_probe_surface_system():
@@ -386,17 +428,28 @@ def test_verify_raises_a_reading_bug(monkeypatch, system):
 
 
 @pytest.mark.parametrize("system", ["fix", "torus"])
-def test_probe_refuses_unclassifiable_projections(monkeypatch, system):
-    # every projected point is unreadable, so no step is admissible and
-    # probe fails instead of emitting a certificate the verifier refuses
+def test_probe_certificate_with_unreadable_interior_is_rejected(
+    monkeypatch, tmp_path, capsys, system
+):
+    # probe reads only its endpoints' labels; with every interior reading
+    # refused, the verifier rejects its certificate and `repvar probe` exits 1
     cert = _sample_certificate(system)
     r0 = cert.points[0]
     r1 = r0.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.5))
-    assert verify_certificate(probe_path(r0, r1, system, 2, TOL)).ok
-    _refuse_reading_at(monkeypatch, system, lambda p: p is not r0 and p is not r1)
-    with pytest.raises(connectivity.PathError) as err:
-        probe_path(r0, r1, system, 2, TOL)
-    assert err.value.stage == "probe"
+    probed = probe_path(r0, r1, system, 2, TOL)
+    assert verify_certificate(probed).ok and len(probed.points) > 2
+    _refuse_reading_at(monkeypatch, system, lambda p: min(p.dist(r0), p.dist(r1)) > 1e-12)
+    report = verify_certificate(probed)
+    assert report.problems == tuple(
+        f"point {i} is unclassifiable" for i in range(1, len(probed.points) - 1)
+    )
+    files = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, rep in zip(files, (r0, r1)):
+        save_rep(path, rep, 2)
+    assert cli.main(["probe", *map(str, files)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("probe produced an invalid certificate:")
+    assert "is unclassifiable" in err
 
 
 def test_path_construction_draws_no_random_numbers(monkeypatch):
@@ -432,14 +485,23 @@ def test_path_construction_draws_no_random_numbers(monkeypatch):
     ] + ["central"] * 4
 
 
+def _kicked(cert):
+    """cert with A2 of its middle node moved 1e-9 off the variety and both
+    bounds restated: a certificate whose residual bound is genuinely active
+    (exact staged paths can sit wholly inside the verifier's 1e-14 slack)."""
+    pts = list(cert.points)
+    mid = len(pts) // 2
+    pts[mid] = replace(pts[mid], a2=exp_tangent((1e-9, 0.0, 0.0)) * pts[mid].a2)
+    steps = [step_between(p.elements(), q.elements()) for p, q in zip(pts, pts[1:])]
+    residual = float(residual_array(pts, cert.system, cert.n).max())
+    return replace(cert, points=tuple(pts), max_residual=residual, max_step=max(steps))
+
+
 def test_verify_rejects_understated_bounds():
-    # a probe certificate: its interior points are Newton-made, so some
-    # residual stands above the verifier's 1e-14 slack and an understated
-    # bound shows (exact staged paths can sit wholly inside that slack)
     rng = np.random.default_rng(16)
     rep = randomized_representative(2, ComponentLabel("+", 1, 0), rng)
-    rep1 = rep.conjugate(exp_axis_angle((0.0, 0.6, 0.8), 0.5))
-    cert = probe_path(rep, rep1, "fix", 2, TOL)
+    cert = _kicked(canonical_path(rep, 2, TOL))
+    assert verify_certificate(cert).ok
     assert cert.max_residual > 1e-13
     doc = certificate_to_dict(cert)
     doc["max_residual"] = 1e-300
@@ -563,8 +625,8 @@ def test_census_path_classes_count_unpathed_samples(monkeypatch):
     "error, counted",
     [
         (connectivity.PathError("refused for the test", stage="test"), True),
-        # a failed projection arrives as a probe-stage PathError
-        (connectivity.PathError("projection failed", stage="probe"), True),
+        # a path breaking its bounds arrives as an assembly-stage PathError
+        (connectivity.PathError("bound violated", stage="assembly"), True),
         # a continuation that underflows arrives as a PathError of its leg
         (connectivity.PathError("continuation step underflow", stage="move-b1"), True),
         (Unclassifiable("refused for the test"), True),
@@ -622,37 +684,41 @@ def test_census_rejects_unknown_system():
         census(2, "nope", 4, 7, TOL)
 
 
-def test_probe_budget_counts_every_projection(monkeypatch):
-    # endpoints one conjugation by 1 rad apart, where the blind walk
-    # crawls: every projection attempt, placed or not, spends the
-    # 2**depth budget
-    rng = np.random.default_rng([5, 9])
-    r0 = randomized_representative(3, ComponentLabel("-", 1, 0), rng)
-    axis = rng.standard_normal(3)
-    axis = tuple(float(v) for v in axis / np.linalg.norm(axis))
-    r1 = r0.conjugate(exp_axis_angle(axis, 1.0))
-    calls = []
-    project = connectivity.project_to_variety
+def test_probe_makes_no_projection(monkeypatch):
+    # every node of a join is exact (the conjugation leg and the staged
+    # paths), so neither the projection nor its solver runs
+    def refused(*args, **kwargs):
+        raise AssertionError("probe_path projected a point")
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return project(*args, **kwargs)
-
-    monkeypatch.setattr(connectivity, "project_to_variety", counting)
-    for depth in (4, 9):
-        calls.clear()
-        monkeypatch.setattr(connectivity, "BISECTION_DEPTH", depth)
-        with pytest.raises(connectivity.PathError) as err:
-            probe_path(r0, r1, "fix", 3, TOL)
-        assert err.value.stage == "probe"
-        assert 0 < len(calls) <= 2**depth
+    for module in (connectivity, varieties, solvers):
+        for name in ("project_to_variety", "refine_elements"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    g = exp_axis_angle((0.0, 0.6, 0.8), 0.2)
+    for system, n, label in (
+        ("fix", 3, ComponentLabel("-", 1, 0)),
+        ("fix", -2, ComponentLabel()),
+        ("fix", 0, ComponentLabel()),
+        ("torus", 3, TorusLabel(1, ComponentLabel("+", 0, 1))),
+        ("torus", -2, TorusLabel()),
+    ):
+        sample = randomized_representative if system == "fix" else randomized_torus_representative
+        rng = np.random.default_rng([5, 9])
+        r0, r1 = sample(n, label, rng), sample(n, label, rng)
+        for end in (r1, r0.conjugate(g)):
+            assert verify_certificate(probe_path(r0, end, system, n, TOL)).ok
+    r0, r1 = (random_surface_rep(np.random.default_rng(s)) for s in (7, 8))
+    assert verify_certificate(probe_path(r0, r1, "surface", 0, TOL)).ok
 
 
 def test_probe_points_stable_under_last_bit_residual_changes(monkeypatch):
-    # the projection steps by the minimum-norm solution, which leaves the
-    # variety's own tangent directions (the Jacobian's null space) alone;
-    # solving the damped normal equations instead moves these points by
-    # 1e-13 to 8e-12 when the residual's last bit changes
+    # project_to_variety steps by the minimum-norm solution, which leaves
+    # the variety's own tangent directions (the Jacobian's null space)
+    # alone; solving the damped normal equations instead moves projected
+    # points by 1e-13 to 8e-12 when the residual's last bit changes.  The
+    # projections start from per-coordinate geodesic midpoints of the
+    # pairs; probe_path reads residuals only in its checks, so its points
+    # do not move at all
     rng = np.random.default_rng(0)
     pairs = []
     for system, n in (("fix", 4), ("fix", -3), ("torus", 4), ("torus", -5)):
@@ -666,17 +732,29 @@ def test_probe_points_stable_under_last_bit_residual_changes(monkeypatch):
             r0 = sample(n, labels[int(rng.integers(len(labels)))], rng)
             g = exp_axis_angle(random_axis(rng), 0.2)
             pairs.append((system, n, r0, r0.conjugate(g)))
-    before = [probe_path(r0, r1, system, n) for system, n, r0, r1 in pairs]
+
+    def outputs():
+        projections = []
+        for system, n, r0, r1 in pairs:
+            els = [geodesic(u, v, 0.5) for u, v in zip(r0.elements(), r1.elements())]
+            mid = type(r0).from_elements(els)
+            projections.append(varieties.project_to_variety(mid, n, system, tol=1e-10))
+        return projections, [probe_path(r0, r1, system, n) for system, n, r0, r1 in pairs]
+
+    projected, probed = outputs()
     signed = varieties._signed_residual
     monkeypatch.setattr(
         varieties,
         "_signed_residual",
         lambda els, system, n: np.nextafter(signed(els, system, n), np.inf),
     )
-    after = [probe_path(r0, r1, system, n) for system, n, r0, r1 in pairs]
-    for a, b in zip(before, after):
+    projected_after, probed_after = outputs()
+    for a, b in zip(projected, projected_after):
+        assert a.converged and b.converged
+        assert a.rep.dist(b.rep) <= 1e-13
+    for a, b in zip(probed, probed_after):
         assert len(a.points) == len(b.points) > 2
-        assert max(p.dist(q) for p, q in zip(a.points, b.points)) <= 1e-13
+        assert max(p.dist(q) for p, q in zip(a.points, b.points)) == 0.0
 
 
 def _edge_cases(rng):

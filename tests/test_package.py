@@ -1,6 +1,8 @@
+import ast
 import pkgutil
 import types
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,35 @@ def test_package_reexports_public_names():
             continue
         assert name in public, f"repvar.{name} is in no module's __all__"
         assert getattr(public[name], name) is value, f"repvar.{name}"
+
+
+def _unused_imports(path):
+    """Names the module at `path` imports but never reads; a name listed in
+    its __all__ counts as read (a re-export)."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted(name for name in imported if name not in read)
+
+
+# the package module re-exports every name it imports
+SOURCES = sorted(
+    p for p in Path(repvar.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
