@@ -43,7 +43,6 @@ from .connectivity import (
 from .su2 import (
     SU2,
     exp_axis_angle,
-    geodesic,
     haar_random,
 )
 from .varieties import (

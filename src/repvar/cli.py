@@ -19,6 +19,7 @@ import numpy as np
 
 from .components import (
     ComponentLabel,
+    ResidualError,
     TorusLabel,
     Unclassifiable,
     canonical_representative,
@@ -165,7 +166,7 @@ def cmd_classify(args) -> int:
     except Unclassifiable as exc:
         print(f"unclassifiable: {exc}", file=sys.stderr)
         return VERIFY_FAILED
-    except ValueError as exc:
+    except ResidualError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFY_FAILED
     doc = {
@@ -198,7 +199,7 @@ def cmd_probe(args) -> int:
     except LabelMismatchError as exc:
         print(f"label mismatch: {exc}", file=sys.stderr)
         return VERIFY_FAILED
-    except (PathError, Unclassifiable, ValueError) as exc:
+    except (PathError, Unclassifiable, ResidualError) as exc:
         print(f"probe failed: {exc}", file=sys.stderr)
         return VERIFY_FAILED
     check = verify_certificate(cert)

@@ -334,7 +334,7 @@ def read_torus_label(
     # inside the annulus (gap > SNAP_BAND) the two readings of T must agree
     try:
         fix = read_fix_label(trep.rep, n, fix_residual, tol)
-    except ValueError as exc:
+    except (ResidualError, Unclassifiable) as exc:
         if gap > SNAP_BAND:
             # surface part off the fixed-point set, so T is not exactly
             # central and the tuple sits in the merged component

@@ -49,7 +49,6 @@ from .commutator import (
     snap_commuting_pair,
 )
 from .components import (
-    CENTRAL,
     REFUSE_BAND,
     SNAP_BAND,
     TORUS_CENTRAL,
@@ -126,7 +125,7 @@ __all__ = [
 
 CERT_FORMAT = "pathcert-1"
 
-_SYSTEM_IDS = {"fix": 0, "torus": 1, "surface": 2}
+_SYSTEM_IDS = {"fix": 0, "torus": 1}
 
 TOL = 1e-7  # default acceptance bound on per-point residuals
 
@@ -224,21 +223,19 @@ class VerificationReport:
     problems: tuple[str, ...]
 
 
-def _label_texts(
+def _labels(
     pts: Sequence[Rep], system: str, n: int, tol: float
-) -> tuple[np.ndarray, list[str | None]]:
-    """The residuals of pts in `system` and their label texts (None where
+) -> tuple[np.ndarray, list[ComponentLabel | TorusLabel | None]]:
+    """The residuals of pts in `system` and their labels (None where
     unclassifiable at tol): one label_residuals batch, then the readings."""
     residuals, fix_residuals = label_residuals(pts, system, n)
-    if system not in ("fix", "torus"):
-        return residuals, [""] * len(pts)
-    out: list[str | None] = []
+    out: list[ComponentLabel | TorusLabel | None] = []
     for p, res, fix_res in zip(pts, residuals, fix_residuals):
         try:
             if system == "fix":
-                out.append(read_fix_label(p, n, fix_res, tol).text())
+                out.append(read_fix_label(p, n, fix_res, tol))
             else:
-                out.append(read_torus_label(p, n, res, fix_res, tol).text())
+                out.append(read_torus_label(p, n, res, fix_res, tol))
         except (Unclassifiable, ResidualError):
             out.append(None)
     return residuals, out
@@ -265,7 +262,7 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         )
     if cert.max_step > MAX_STEP + 1e-12:
         problems.append(f"stated step bound {cert.max_step:.3f} exceeds MAX_STEP = {MAX_STEP}")
-    residuals, texts = _label_texts(pts, cert.system, cert.n, cert.tol)
+    residuals, labels = _labels(pts, cert.system, cert.n, cert.tol)
     for i, r in enumerate(residuals):
         if r > cert.max_residual + 1e-14:
             problems.append(f"point {i}: residual {r:.3e} above stated bound")
@@ -273,12 +270,12 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         s = step_between(p.elements(), q.elements())
         if s > cert.max_step + 1e-12:
             problems.append(f"step {i}->{i + 1}: {s:.4f} above stated bound")
-    for i, text in enumerate(texts):
-        if text is None:
+    for i, label in enumerate(labels):
+        if label is None:
             problems.append(f"point {i} is unclassifiable")
-        elif text != cert.label:
+        elif label.text() != cert.label:
             problems.append(
-                f"point {i} classifies as {text!r}, certificate says {cert.label!r}"
+                f"point {i} classifies as {label.text()!r}, certificate says {cert.label!r}"
             )
     return VerificationReport(not problems, tuple(problems))
 
@@ -629,14 +626,10 @@ def _torus_path_points(
 def _path_points(
     rep: Rep, system: str, n: int, label: ComponentLabel | TorusLabel, tol: float
 ) -> list[Rep]:
-    """The staged path's nodes from `rep`, of component `label`, not yet
-    assembled.  The surface system takes the fixed-point path at n = 0,
-    where the fixed-point equations reduce to the relator."""
+    """The staged path's nodes from `rep`, of component `label`, not yet assembled."""
     if system == "torus":
         return _torus_path_points(rep, n, label, tol)
-    if system == "fix":
-        return _fix_path_points(rep, n, label)
-    return _fix_path_points(rep, 0, CENTRAL)
+    return _fix_path_points(rep, n, label)
 
 
 def probe_path(
@@ -654,24 +647,24 @@ def probe_path(
     its end and from r1 follow, the second reversed.  Endpoints with
     different labels are refused immediately.
     """
-    residuals, (label0, label1) = _label_texts([r0, r1], system, n, tol)
+    residuals, (label0, label1) = _labels([r0, r1], system, n, tol)
     for name, res in zip(("first", "second"), residuals):
         if res > tol:
-            raise ValueError(f"{name} endpoint residual {res:.3e} above tolerance")
+            raise ResidualError(f"{name} endpoint residual {res:.3e} above tolerance")
     if label0 is None or label1 is None:
         raise Unclassifiable("endpoint label could not be determined")
     if label0 != label1:
-        raise LabelMismatchError(f"endpoint labels differ: {label0!r} vs {label1!r}")
+        raise LabelMismatchError(
+            f"endpoint labels differ: {label0.text()!r} vs {label1.text()!r}"
+        )
 
     g = best_conjugator(r0.elements(), r1.elements())
     points = [r0, *(r0.conjugate(h) for h in conjugators(g))]
     if step_between(points[-1].elements(), r1.elements()) > MAX_STEP:
-        parse = TorusLabel.parse if system == "torus" else ComponentLabel.parse
-        label = parse(label0 or "central")  # the surface system reads no label
-        points += _path_points(points[-1], system, n, label, tol)
-        points += _path_points(r1, system, n, label, tol)[::-1]
+        points += _path_points(points[-1], system, n, label0, tol)
+        points += _path_points(r1, system, n, label0, tol)[::-1]
     points.append(r1)
-    return _finish(points, system, n, label0, tol)
+    return _finish(points, system, n, label0.text(), tol)
 
 
 # -- Monte Carlo census -------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "commute_pairwise",
     "exp_axis_angle",
     "exp_tangent",
-    "geodesic",
     "geodesic_distance",
     "step_between",
     "haar_random",
@@ -165,9 +164,6 @@ class SU2:
         """Euclidean norm of the 4-vector difference: the chord to other."""
         return math.hypot(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def dot(self, other: "SU2") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
     def is_central(self, tol: float = 1e-9) -> bool:
         """True iff within `tol` (4-vector distance) of +1 or -1."""
         return central_gap(self)[0] < tol
@@ -238,35 +234,6 @@ def exp_tangent(v: Sequence[float]) -> SU2:
         return ONE
     s = math.sin(n) / n
     return SU2(math.cos(n), s * vx, s * vy, s * vz)
-
-
-def geodesic(u: SU2, v: SU2, t: float) -> SU2:
-    """Constant-speed shortest path on the unit 3-sphere.
-
-    Antipodal endpoints are rejected: there is no preferred shortest path,
-    and callers are expected to route around -1 explicitly.
-    """
-    d = _clamp(u.dot(v))
-    if d < -1.0 + 1e-9:
-        raise ValueError("geodesic between antipodal elements is not unique")
-    omega = math.acos(d)
-    if omega < 1e-9:
-        # nearly identical endpoints: normalized linear interpolation
-        return SU2(
-            (1 - t) * u.w + t * v.w,
-            (1 - t) * u.x + t * v.x,
-            (1 - t) * u.y + t * v.y,
-            (1 - t) * u.z + t * v.z,
-        )
-    so = math.sin(omega)
-    cu = math.sin((1 - t) * omega) / so
-    cv = math.sin(t * omega) / so
-    return SU2(
-        cu * u.w + cv * v.w,
-        cu * u.x + cv * v.x,
-        cu * u.y + cv * v.y,
-        cu * u.z + cv * v.z,
-    )
 
 
 def geodesic_distance(u: SU2, v: SU2) -> float:
@@ -354,7 +321,8 @@ def best_conjugator(us: Sequence[SU2], vs: Sequence[SU2]) -> SU2:
     """The g, with w >= 0, whose simultaneous conjugation best aligns the
     vector parts of us with those of vs: the top eigenvector of Horn's
     symmetric 4x4 matrix ("Closed-form solution of absolute orientation
-    using unit quaternions", JOSA A 4, 1987)."""
+    using unit quaternions", JOSA A 4, 1987).  ONE when that matrix is 0,
+    as for central tuples, which every conjugation aligns equally well."""
     v0 = np.array([(u.x, u.y, u.z) for u in us])
     v1 = np.array([(v.x, v.y, v.z) for v in vs])
     (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = v0.T @ v1
@@ -364,6 +332,8 @@ def best_conjugator(us: Sequence[SU2], vs: Sequence[SU2]) -> SU2:
         [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
         [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
     ])
+    if not horn.any():
+        return ONE
     q = np.linalg.eigh(horn)[1][:, -1]
     return SU2(*(q if q[0] >= 0 else -q).tolist())
 

@@ -3,7 +3,8 @@
 Four solution sets are realized numerically, all inside powers of SU(2):
 
 * the surface representation variety: six-tuples (A1, B1, A2, B2, A3, B3)
-  with [A1,B1][A2,B2][A3,B3] = 1;
+  with [A1,B1][A2,B2][A3,B3] = 1, which is the fixed-point set below at
+  n = 0;
 * the fixed-point set of the pullback by the n-th power of the
   bounding-pair map, cut out by the surface relation together with
   A1 = X^n A1 X^-n, A1^n X^-n = 1, A3 = X^n A3 X^-n, B3 = X^n B3 X^-n,
@@ -20,7 +21,7 @@ Four solution sets are realized numerically, all inside powers of SU(2):
       a3, b3    [A3, T X^n] = [B3, T X^n] = 1;
 
 * the extended fixed set: surface representations conjugate to their own
-  pullback by some T (solve_intertwiner searches for that T).
+  pullback by some T (solve_intertwiner finds that T in closed form).
 
 Residuals are Euclidean norms of 4-vector differences, reported per
 equation so failures localize.  Powers X^n are computed by exact angle
@@ -43,9 +44,9 @@ from .solvers import refine_elements, tangent_jacobian
 from .su2 import (
     ARRAY_OPS,
     FLOAT_OPS,
-    MINUS_ONE,
     ONE,
     SU2,
+    best_conjugator,
     commutator,
     commute_pairwise,
     haar_random,
@@ -234,11 +235,7 @@ def _torus_terms(q, n: int, ops):
     )
 
 
-def _surface_terms(q, n: int, ops):
-    return (("relator", _relator(*q)[0], _ONE_Q),)
-
-
-_TABLES = {"surface": _surface_terms, "fix": _fix_terms, "torus": _torus_terms}
+_TABLES = {"fix": _fix_terms, "torus": _torus_terms}
 
 
 def _gap(lhs, rhs, sqrt):
@@ -260,7 +257,8 @@ def _report(rep: Rep, system: str, n: int) -> ResidualReport:
 
 
 def surface_residual(rep: SurfaceRep) -> ResidualReport:
-    return _report(rep, "surface", 0)
+    """The fixed-point report at n = 0: the relator, its other rows exactly 0."""
+    return _report(rep, "fix", 0)
 
 
 def fixed_point_residual(rep: SurfaceRep, n: int) -> ResidualReport:
@@ -272,7 +270,7 @@ def torus_residual(trep: TorusRep, n: int) -> ResidualReport:
 
 
 def residual_for(rep: Rep, system: str, n: int) -> ResidualReport:
-    """Residual report for one of the three equation systems."""
+    """Residual report for one of the two equation systems."""
     if system == "fix":
         return fixed_point_residual(rep, n)
     if system == "torus":
@@ -374,40 +372,24 @@ class IntertwinerResult:
 
 
 def solve_intertwiner(rep: SurfaceRep, n: int, tol: float = 1e-9) -> IntertwinerResult:
-    """Search for T with rep-pullback = T^-1 rep T across all generators.
+    """The T, with w >= 0, that best matches rep-pullback with T^-1 rep T
+    across all generators, and the 2-norm of the stacked differences.
 
-    Minimizes the stacked 4-vector differences over T (three parameters,
-    multi-start at 1, -1, i, j, k); success means the representation lies
-    in the extended fixed set to within tol, and then (T, rep) satisfies
-    the torus system at the same scale.
+    Conjugation fixes real parts and rotates vector parts, so the global
+    least-squares T is the inverse of the conjugator that best aligns rep
+    with its pullback (best_conjugator, in closed form).  Success means the
+    representation lies in the extended fixed set to within tol, and then
+    (T, rep) satisfies the torus system at the same scale.
     """
     pre = surface_residual(rep).max
     if pre > tol:
         raise ValueError(f"surface residual {pre:.3e} exceeds tol {tol:.1e}")
     images = rep.images()
     sub = phi_substitution(n)
-    pullback = [evaluate(sub.image(g), images).to_list() for g in SURFACE_GENERATORS]
-    originals = [el.to_list() for el in rep.elements()]
-
-    def gaps(t) -> np.ndarray:
-        # pullback - T^-1 rho T per generator, for a quaternion 4-tuple t
-        conj = [qmul(qmul(qinv(t), rho), t) for rho in originals]
-        return np.array([u - v for lhs, rhs in zip(pullback, conj) for u, v in zip(lhs, rhs)])
-
-    best: IntertwinerResult | None = None
-    for start in (ONE, MINUS_ONE, SU2(0, 1, 0, 0), SU2(0, 0, 1, 0), SU2(0, 0, 0, 1)):
-        result = refine_elements(
-            [start],
-            lambda elements: gaps(elements[0].to_list()),
-            lambda elements: tangent_jacobian(lambda q: gaps(q[0]), elements),
-            tol=min(tol * 1e-2, 1e-11),
-            max_iter=60,
-        )
-        if best is None or result.residual < best.gap:
-            best = IntertwinerResult(result.elements[0], result.residual, False)
-        if best.gap <= tol * 1e-2:
-            break
-    return IntertwinerResult(best.t, best.gap, best.gap < tol)
+    pullback = [evaluate(sub.image(g), images) for g in SURFACE_GENERATORS]
+    g = best_conjugator(rep.elements(), pullback)
+    gap = math.hypot(*(p.dist(el.conjugate_by(g)) for p, el in zip(pullback, rep.elements())))
+    return IntertwinerResult(g.inverse(), gap, gap < tol)
 
 
 # -- centralizer classification ------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repvar import cli
 from repvar.cli import build_parser, main
 from repvar.su2 import exp_axis_angle
 from repvar.varieties import load_rep, save_rep
@@ -104,6 +105,65 @@ def test_probe_roundtrip_and_refusal(tmp_path, capsys):
     assert code == 0 and cert.exists()
     doc = json.loads(cert.read_text())
     assert doc["format"] == "pathcert-1"
+
+
+def test_probe_input_errors(tmp_path, capsys):
+    # an unreadable file, files written for different n, and a torus file
+    # against a surface one are input errors, before any probing
+    fix2, fix3, torus2 = (tmp_path / name for name in ("fix2.json", "fix3.json", "torus2.json"))
+    run(capsys, "representative", "--n", "2", "--label", "+,0,1", "--out", str(fix2))
+    run(capsys, "representative", "--n", "3", "--label", "+,0,1", "--out", str(fix3))
+    run(capsys, "representative", "--n", "2", "--label", "eps=1,+,0,1", "--out", str(torus2))
+    for other, message in (
+        (tmp_path / "missing.json", "error: "),
+        (fix3, "error: files disagree on n (2 vs 3)"),
+        (torus2, "error: cannot probe between torus and surface representations"),
+    ):
+        code, out, err = run(capsys, "probe", str(fix2), str(other))
+        assert code == 2 and err.startswith(message) and out == "", other
+
+
+def test_representative_and_probe_print_to_stdout(tmp_path, capsys):
+    # without --out the document goes to stdout, as the file would hold it
+    rep = tmp_path / "rep.json"
+    code, out, _ = run(capsys, "representative", "--n", "3", "--label=-,1,0")
+    assert code == 0
+    run(capsys, "representative", "--n", "3", "--label=-,1,0", "--out", str(rep))
+    assert json.loads(out) == json.loads(rep.read_text())
+    cert = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "probe", str(rep), str(rep))
+    assert code == 0
+    run(capsys, "probe", str(rep), str(rep), "--out", str(cert))
+    assert json.loads(out) == json.loads(cert.read_text())
+
+
+def test_classify_n_mismatch_and_representative_above_tol(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    run(capsys, "representative", "--n", "3", "--label", "+,0,1", "--out", str(rep))
+    code, _, err = run(capsys, "classify", str(rep), "--n", "2")
+    assert code == 2 and err.startswith("error: file was written for n=3, got --n 2")
+    # the canonical representative's residual is a few ulps, not 0
+    out_file = tmp_path / "strict.json"
+    argv = ("representative", "--n", "3", "--label", "+,0,1", "--tol", "1e-17")
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert code == 1 and out == "" and not out_file.exists()
+    assert err.startswith("error: representative residual")
+
+
+@pytest.mark.parametrize("command, target", [("classify", "classify_fix"), ("probe", "probe_path")])
+def test_plain_value_errors_escape_the_cli(command, target, tmp_path, capsys, monkeypatch):
+    # only the readings' refusals are verification failures (exit 1); a
+    # plain ValueError from the library is a programming error and escapes
+    rep = tmp_path / "rep.json"
+    run(capsys, "representative", "--n", "2", "--label", "+,0,1", "--out", str(rep))
+
+    def bug(*args, **kwargs):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(cli, target, bug)
+    argv = [command, str(rep)] + ([str(rep)] if command == "probe" else [])
+    with pytest.raises(ValueError, match="a programming error"):
+        main(argv)
 
 
 def _negative_zeros(doc) -> int:

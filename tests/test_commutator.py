@@ -20,9 +20,9 @@ from repvar.su2 import (
     ONE,
     SU2,
     commutator,
+    contraction,
     exp_axis_angle,
     exp_tangent,
-    geodesic,
     geodesic_distance,
     haar_random,
     random_axis,
@@ -206,7 +206,7 @@ def test_continue_fiber_nodes_are_exact(end_angle):
         pairs = (sample_fiber(y0, rng), sample_fiber(y0.inverse(), rng))
 
         def targets(t):
-            y = geodesic(y0, y1, t)
+            y = y1 * contraction(y1.inverse() * y0)[0](t)
             return (y, y.inverse())
 
         nodes = continue_fiber(pairs, targets, init_steps=4)
@@ -228,7 +228,7 @@ def test_continue_fiber_rests_over_the_center():
     pair = (exp_axis_angle(E1, 0.4), exp_axis_angle(E1, 1.3))
 
     def targets(t):
-        return (geodesic(ONE, c1, max(0.0, 2.0 * t - 1.0)),)
+        return (c1 * contraction(c1.inverse())[0](max(0.0, 2.0 * t - 1.0)),)
 
     nodes = continue_fiber((pair,), targets, init_steps=4)
     resting = [node for t, node in nodes if t < 0.5]

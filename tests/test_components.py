@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from repvar import components
 from repvar.components import (
     CENTRAL,
     TORUS_CENTRAL,
@@ -22,6 +23,7 @@ from repvar.components import (
     random_extended_fixed_sample,
     randomized_representative,
     randomized_torus_representative,
+    read_torus_label,
 )
 from repvar.su2 import E1, MINUS_ONE, ONE, commutator, exp_axis_angle, haar_random
 from repvar.varieties import (
@@ -162,6 +164,31 @@ def test_classifier_checks_residual_precondition():
     junk = SurfaceRep(*(haar_random(rng) for _ in range(6)))
     with pytest.raises(ValueError):
         classify_fix(junk, 2)
+
+
+def test_torus_reading_of_a_surface_part_off_the_fixed_point_set():
+    # the surface part's fixed-point residual is above tol: with T in the
+    # annulus, T is then not exactly central and the point lies in the
+    # merged component; with T within SNAP_BAND the reading refuses
+    rep = canonical_representative(3, ComponentLabel("+", 0, 1))
+    annulus = TorusRep(exp_axis_angle(E1, 1e-5), rep)
+    assert read_torus_label(annulus, 3, 0.0, 1.0, 1e-7) == TORUS_CENTRAL
+    with pytest.raises(Unclassifiable, match="T central but the surface tuple is off"):
+        read_torus_label(TorusRep(ONE, rep), 3, 0.0, 1.0, 1e-7)
+
+
+@pytest.mark.parametrize("t_angle", [1e-5, 0.0], ids=["annulus", "snap-band"])
+def test_torus_reading_lets_programming_errors_through(t_angle, monkeypatch):
+    # only the fixed-point reading's refusals are read as a label or a
+    # refusal; a plain ValueError from it is a bug and propagates as it is
+    def bug(*args):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(components, "read_fix_label", bug)
+    rep = canonical_representative(3, ComponentLabel("+", 0, 1))
+    with pytest.raises(ValueError, match="a programming error") as err:
+        read_torus_label(TorusRep(exp_axis_angle(E1, t_angle), rep), 3, 0.0, 0.0, 1e-7)
+    assert type(err.value) is ValueError
 
 
 def test_canonical_representative_examples():

@@ -43,9 +43,9 @@ from repvar.su2 import (
     SU2,
     central_gap,
     commutator,
+    contraction,
     exp_axis_angle,
     exp_tangent,
-    geodesic,
     haar_random,
     random_axis,
     step_between,
@@ -87,8 +87,21 @@ def test_probe_refuses_mismatched_labels():
     for n in (2, -2):
         r0 = randomized_representative(n, ComponentLabel("+", 0, 1), np.random.default_rng(3))
         r1 = randomized_representative(n, ComponentLabel("+", 1, 0), np.random.default_rng(4))
-        with pytest.raises(LabelMismatchError):
+        with pytest.raises(LabelMismatchError, match=r"labels differ: '\+,0,1' vs '\+,1,0'"):
             probe_path(r0, r1, "fix", n, TOL)
+
+
+def test_probe_refuses_off_variety_endpoints():
+    # an endpoint off the variety is the readings' refusal, not a plain ValueError
+    for system, n, label in (("fix", 3, ComponentLabel("-", 1, 0)),
+                             ("torus", -2, TorusLabel(-1, ComponentLabel("+", 0, 1)))):
+        sample = randomized_representative if system == "fix" else randomized_torus_representative
+        r0 = sample(n, label, np.random.default_rng(3))
+        els = list(r0.elements())
+        els[3] = exp_tangent((1e-3, 0.0, 0.0)) * els[3]
+        r1 = type(r0).from_elements(els)
+        with pytest.raises(ResidualError, match="second endpoint residual"):
+            probe_path(r0, r1, system, n, TOL)
 
 
 def test_probe_mismatch_fuzz():
@@ -138,11 +151,12 @@ def test_probe_joins_the_ends_of_the_torus_central_component():
 
 
 def test_probe_surface_system():
+    # the surface relation is the fixed-point system at n = 0
     r0 = random_surface_rep(np.random.default_rng(7))
     r1 = random_surface_rep(np.random.default_rng(8))
-    cert = probe_path(r0, r1, "surface", 0, TOL)
+    cert = probe_path(r0, r1, "fix", 0, TOL)
     assert verify_certificate(cert).ok
-    assert cert.system == "surface"
+    assert cert.label == "central"
 
 
 @pytest.mark.parametrize("system", ["fix", "torus"])
@@ -232,8 +246,10 @@ def test_continuation_failures_report_t_and_stage(init_steps, jump, message):
     y0, y1 = exp_axis_angle(E1, 0.5), exp_axis_angle(E1, 2.5)
     pair = sample_fiber(y0, np.random.default_rng(22))
 
+    path = contraction(y1.inverse() * y0)[0]
+
     def targets(t):
-        return ((y1 if t >= 0.5 else y0) if jump else geodesic(y0, y1, t),)
+        return ((y1 if t >= 0.5 else y0) if jump else y1 * path(t),)
 
     with pytest.raises(connectivity.PathError) as err:
         connectivity._continuation((pair,), targets, init_steps, "rotate-x")
@@ -531,6 +547,7 @@ def test_verify_rejects_step_bound_above_max_step():
         (lambda doc: {**doc, "format": "pathcert-0"}, "format: expected 'pathcert-1', found 'pathcert-0'"),
         (lambda doc: {k: v for k, v in doc.items() if k != "max_step"}, "max_step: missing"),
         (lambda doc: {**doc, "system": "knot"}, "system: unknown 'knot'"),
+        (lambda doc: {**doc, "system": "surface"}, "system: unknown 'surface'"),
         (
             lambda doc: {**doc, "points": [doc["points"][0], {**doc["points"][1], "A": [[1.0, 0.0]] * 3}]},
             "points[1]: A[0]: expected a list of 4 floats",
@@ -556,7 +573,7 @@ def test_verify_rejects_step_bound_above_max_step():
         (lambda doc: {**doc, "max_step": False}, "max_step: expected float, found False"),
     ],
     ids=[
-        "not-object", "format", "missing-key", "system", "bad-point", "kind",
+        "not-object", "format", "missing-key", "system", "system-surface", "bad-point", "kind",
         "points-int", "points-null", "n-null", "n-float", "tol-null", "tol-list",
         "max-residual-null", "max-residual-list", "max-step-null", "max-step-list",
         "label-null", "n-true", "tol-true", "tol-false", "max-residual-true",
@@ -707,8 +724,6 @@ def test_probe_makes_no_projection(monkeypatch):
         r0, r1 = sample(n, label, rng), sample(n, label, rng)
         for end in (r1, r0.conjugate(g)):
             assert verify_certificate(probe_path(r0, end, system, n, TOL)).ok
-    r0, r1 = (random_surface_rep(np.random.default_rng(s)) for s in (7, 8))
-    assert verify_certificate(probe_path(r0, r1, "surface", 0, TOL)).ok
 
 
 def test_probe_points_stable_under_last_bit_residual_changes(monkeypatch):
@@ -736,7 +751,10 @@ def test_probe_points_stable_under_last_bit_residual_changes(monkeypatch):
     def outputs():
         projections = []
         for system, n, r0, r1 in pairs:
-            els = [geodesic(u, v, 0.5) for u, v in zip(r0.elements(), r1.elements())]
+            els = [
+                v * contraction(v.inverse() * u)[0](0.5)
+                for u, v in zip(r0.elements(), r1.elements())
+            ]
             mid = type(r0).from_elements(els)
             projections.append(varieties.project_to_variety(mid, n, system, tol=1e-10))
         return projections, [probe_path(r0, r1, system, n) for system, n, r0, r1 in pairs]
@@ -770,7 +788,6 @@ def _edge_cases(rng):
     ts = [ONE, MINUS_ONE, SU2(-1.0, 1e-9, 0.0, 0.0), t, -t]
     for n in (-3, -1, 0, 1, 2, 5):
         yield "fix", n, surface
-        yield "surface", n, surface
         yield "torus", n, [TorusRep(tt, rep) for tt in ts for rep in surface]
 
 

@@ -14,12 +14,12 @@ from repvar.su2 import (
     MINUS_ONE,
     ONE,
     axis_rotation,
+    best_conjugator,
     commutator,
     conjugators,
     contract_to_one,
     contraction,
     exp_axis_angle,
-    geodesic,
     geodesic_distance,
     haar_random,
     qpow,
@@ -118,14 +118,8 @@ def test_power_exact_angle_scaling():
             assert max(abs(a - b) for a, b in zip(u.power(k).to_list(), row)) < 5e-16, (u, k)
 
 
-def test_geodesic():
+def test_geodesic_distance():
     u = rand_elements(5)[0]
-    assert geodesic(u, u, 0.37).dist(u) < 1e-12
-    assert geodesic(ONE, I, 1.0).dist(I) < 1e-15
-    # slerp midpoint by angle
-    assert geodesic(ONE, I, 0.5).dist(exp_axis_angle(E1, math.pi / 4)) < 1e-12
-    with pytest.raises(ValueError):
-        geodesic(u, -u, 0.5)
     # arcs read from chords: exact 0 on identical elements, and arcs within
     # rounding of 0 and pi resolved (pi's spacing 4.4e-16 bounds the latter)
     assert geodesic_distance(u, u) == 0.0
@@ -209,6 +203,20 @@ def test_stepped_paths_respect_the_step_bound():
         assert path(0.5).dist(exp_axis_angle(axis, math.pi / 2)) < 1e-12
 
 
+def test_best_conjugator():
+    # recovers a conjugation, taken with w >= 0, from a tuple and its image
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        us = [haar_random(rng) for _ in range(3)]
+        g = haar_random(rng)
+        g = g if g.w >= 0.0 else -g
+        got = best_conjugator(us, [u.conjugate_by(g) for u in us])
+        assert got.w >= 0.0 and got.dist(g) < 1e-12
+    # Horn's matrix is 0 on central tuples, which every conjugation fixes
+    for us, vs in (([ONE, MINUS_ONE], [MINUS_ONE, ONE]), ([ONE], [I])):
+        assert best_conjugator(us, vs) is ONE
+
+
 def test_is_central():
     assert ONE.is_central()
     assert MINUS_ONE.is_central()
@@ -241,12 +249,12 @@ def test_products_stay_unit_and_trace_is_conjugation_invariant(g, u):
 
 @settings(max_examples=100, deadline=None)
 @given(su2s, su2s, st.floats(min_value=0.0, max_value=1.0))
-def test_geodesic_endpoints_and_unit_norm(u, v, t):
-    if u.dot(v) < -1.0 + 1e-6:
-        return
-    p = geodesic(u, v, t)
+def test_translated_contraction_is_a_geodesic(u, v, t):
+    # v times the contraction of v^-1 u runs from u to v at constant speed
+    path, theta = contraction(v.inverse() * u)
+    p = v * path(t)
     assert abs(p.norm() - 1.0) < 1e-12
-    assert geodesic(u, v, 0.0).dist(u) < 1e-9
-    assert geodesic(u, v, 1.0).dist(v) < 1e-9
-    # acos amplifies rounding near coincident endpoints: allow 1e-7
-    assert geodesic_distance(u, p) <= geodesic_distance(u, v) + 1e-7
+    assert (v * path(0.0)).dist(u) < 1e-14
+    assert (v * path(1.0)).dist(v) < 1e-15
+    assert theta == pytest.approx(geodesic_distance(u, v), abs=1e-14)
+    assert geodesic_distance(u, p) == pytest.approx(t * theta, abs=1e-14)

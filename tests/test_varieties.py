@@ -235,7 +235,7 @@ def test_project_to_variety():
     rng = np.random.default_rng(7)
     rep = random_surface_rep(rng)
     # already admissible: returned unchanged with zero iterations
-    out = project_to_variety(rep, 0, "surface", tol=1e-9)
+    out = project_to_variety(rep, 0, "fix", tol=1e-9)
     assert out.iterations == 0 and out.rep is rep
     # perturbed fixed-point representative reconverges
     from repvar.components import ComponentLabel, randomized_representative
