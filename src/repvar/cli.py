@@ -32,6 +32,7 @@ from .components import (
     enumerate_fix_labels,
     enumerate_torus_labels,
     floor_count_identity,
+    validate_label,
 )
 from .connectivity import (
     LabelMismatchError,
@@ -128,17 +129,14 @@ def _parse_any_label(text: str):
 def cmd_representative(args) -> int:
     try:
         label = _parse_any_label(args.label)
+        system = "torus" if isinstance(label, TorusLabel) else "fix"
+        validate_label(label.fix if system == "torus" else label, args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    system = "torus" if isinstance(label, TorusLabel) else "fix"
     make = canonical_torus_representative if system == "torus" else canonical_representative
-    try:
-        rep = make(args.n, label)
-        residual = residual_for(rep, system, args.n).max
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    rep = make(args.n, label)
+    residual = residual_for(rep, system, args.n).max
     if residual > args.tol:
         print(f"error: representative residual {residual:.3e} above tolerance", file=sys.stderr)
         return VERIFY_FAILED

@@ -38,6 +38,7 @@ from .su2 import (
 )
 from .varieties import (
     Rep,
+    ResidualError,
     SurfaceRep,
     TorusRep,
     derived_x,
@@ -59,6 +60,7 @@ __all__ = [
     "floor_count_identity",
     "enumerate_fix_labels",
     "enumerate_torus_labels",
+    "validate_label",
     "classify_fix",
     "classify_torus",
     "label_residuals",
@@ -86,10 +88,6 @@ ROUND_TOL = 0.05
 
 class Unclassifiable(ValueError):
     """The point cannot be assigned a component label at this precision."""
-
-
-class ResidualError(ValueError):
-    """The point's residual exceeds the tolerance: it is off the variety."""
 
 
 @dataclass(frozen=True, order=True)
@@ -238,7 +236,8 @@ def enumerate_torus_labels(n: int) -> list[TorusLabel]:
     return labels
 
 
-def _validate_label(label: ComponentLabel, n: int) -> None:
+def validate_label(label: ComponentLabel, n: int) -> None:
+    """ValueError when a non-central label's indices exceed n's bound."""
     if label.is_central:
         return
     bound = _index_bound(abs(n), label.sign)
@@ -366,7 +365,7 @@ def canonical_representative(n: int, label: ComponentLabel) -> SurfaceRep:
     angles; (A3, B3) solves [A3, B3] = X A1^-1 in closed form, B1 = 1, and
     (A2, B2) solves the commutator equation forced by the relation.
     """
-    _validate_label(label, n)
+    validate_label(label, n)
     if label.is_central:
         return trivial_rep()
     m = abs(n)
@@ -437,7 +436,7 @@ def randomized_representative(
     Randomizes axes, B1, the commutator-fiber points, and a global
     conjugation; the classifier recovers `label` exactly.
     """
-    _validate_label(label, n)
+    validate_label(label, n)
     m = abs(n)
     if label.is_central:
         if m == 0:

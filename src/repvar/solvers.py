@@ -64,7 +64,7 @@ def tangent_jacobian(gaps: Callable, elements: Sequence[SU2]) -> np.ndarray:
 
 def _retract(elements: list[SU2], delta: np.ndarray) -> list[SU2]:
     return [
-        exp_tangent(delta[3 * i : 3 * i + 3]) * el for i, el in enumerate(elements)
+        exp_tangent(delta[3 * i : 3 * i + 3].tolist()) * el for i, el in enumerate(elements)
     ]
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "Rep",
     "trivial_rep",
     "ResidualReport",
+    "ResidualError",
     "derived_x",
     "surface_residual",
     "fixed_point_residual",
@@ -144,6 +145,10 @@ Rep = Union[SurfaceRep, TorusRep]
 
 def trivial_rep() -> SurfaceRep:
     return SurfaceRep(ONE, ONE, ONE, ONE, ONE, ONE)
+
+
+class ResidualError(ValueError):
+    """The point's residual exceeds the tolerance: it is off the variety."""
 
 
 @dataclass(frozen=True)
@@ -383,7 +388,7 @@ def solve_intertwiner(rep: SurfaceRep, n: int, tol: float = 1e-9) -> Intertwiner
     """
     pre = surface_residual(rep).max
     if pre > tol:
-        raise ValueError(f"surface residual {pre:.3e} exceeds tol {tol:.1e}")
+        raise ResidualError(f"surface residual {pre:.3e} exceeds tol {tol:.1e}")
     images = rep.images()
     sub = phi_substitution(n)
     pullback = [evaluate(sub.image(g), images) for g in SURFACE_GENERATORS]

@@ -78,7 +78,20 @@ def test_bad_label_is_input_error(capsys):
     code, _, err = run(capsys, "representative", "--n", "2", "--label", "nonsense")
     assert code == 2
     code, _, err = run(capsys, "representative", "--n", "2", "--label", "+,0,9")
-    assert code == 2
+    assert code == 2 and "out of range for n=2" in err
+    code, _, err = run(capsys, "representative", "--n", "2", "--label", "eps=-1,-,3,0")
+    assert code == 2 and "out of range for n=2" in err
+
+
+def test_builder_value_errors_escape_representative(capsys, monkeypatch):
+    # only the label range check is an input error (exit 2); a plain
+    # ValueError from inside the builder is a programming error and escapes
+    def bug(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "canonical_representative", bug)
+    with pytest.raises(ValueError, match="bug"):
+        main(["representative", "--n", "2", "--label", "+,0,1"])
 
 
 def test_classify_malformed_file(tmp_path, capsys):

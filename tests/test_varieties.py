@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from repvar import components
 from repvar.commutator import solve_commutator
 from repvar.components import (
     enumerate_fix_labels,
@@ -23,6 +24,7 @@ from repvar.su2 import (
 )
 from repvar.varieties import (
     CentralizerType,
+    ResidualError,
     SurfaceRep,
     TorusRep,
     centralizer_type,
@@ -283,8 +285,10 @@ def test_solve_intertwiner_rejects_generic_points():
 def test_solve_intertwiner_checks_precondition():
     rng = np.random.default_rng(9)
     junk = SurfaceRep(*(haar_random(rng) for _ in range(6)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ResidualError, match="surface residual"):
         solve_intertwiner(junk, 1)
+    # the one refusal class, re-exported where the classifiers raise it
+    assert components.ResidualError is ResidualError
 
 
 def test_centralizer_type():
