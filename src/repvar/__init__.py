@@ -56,7 +56,6 @@ from .varieties import (
     random_surface_rep,
     save_rep,
     solve_intertwiner,
-    surface_residual,
     torus_residual,
 )
 from .words import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable
 
@@ -45,11 +46,10 @@ from .connectivity import (
 )
 from .su2 import ONE
 from .varieties import (
-    TorusRep,
     load_rep,
     random_surface_rep,
     rep_to_dict,
-    residual_for,
+    residual_array,
     save_rep,
 )
 from .words import (
@@ -136,7 +136,7 @@ def cmd_representative(args) -> int:
         return INPUT_ERROR
     make = canonical_torus_representative if system == "torus" else canonical_representative
     rep = make(args.n, label)
-    residual = residual_for(rep, system, args.n).max
+    residual = residual_array([rep], args.n).max()
     if residual > args.tol:
         print(f"error: representative residual {residual:.3e} above tolerance", file=sys.stderr)
         return VERIFY_FAILED
@@ -157,10 +157,9 @@ def cmd_classify(args) -> int:
     if args.n is not None and args.n != n:
         print(f"error: file was written for n={n}, got --n {args.n}", file=sys.stderr)
         return INPUT_ERROR
-    kind = "torus" if isinstance(rep, TorusRep) else "fix"
     try:
-        label = (classify_torus if kind == "torus" else classify_fix)(rep, n, args.tol)
-        residual = residual_for(rep, kind, n).max
+        label = (classify_torus if rep.system == "torus" else classify_fix)(rep, n, args.tol)
+        residual = residual_array([rep], n).max()
     except Unclassifiable as exc:
         print(f"unclassifiable: {exc}", file=sys.stderr)
         return VERIFY_FAILED
@@ -170,7 +169,7 @@ def cmd_classify(args) -> int:
     doc = {
         "format": "repvar-classify-1",
         "n": n,
-        "system": kind,
+        "system": rep.system,
         "label": label.text(),
         "residual": residual,
     }
@@ -188,12 +187,11 @@ def cmd_probe(args) -> int:
     if n0 != n1:
         print(f"error: files disagree on n ({n0} vs {n1})", file=sys.stderr)
         return INPUT_ERROR
-    if isinstance(r0, TorusRep) != isinstance(r1, TorusRep):
+    if r0.system != r1.system:
         print("error: cannot probe between torus and surface representations", file=sys.stderr)
         return INPUT_ERROR
-    system = "torus" if isinstance(r0, TorusRep) else "fix"
     try:
-        cert = probe_path(r0, r1, system, n0, args.tol)
+        cert = probe_path(r0, r1, r0.system, n0, args.tol)
     except LabelMismatchError as exc:
         print(f"label mismatch: {exc}", file=sys.stderr)
         return VERIFY_FAILED
@@ -291,15 +289,15 @@ def _verify_checks(args):
         yield (f"n={n}: label counts match closed forms", counts_ok, "")
         if n <= 6:
             bad = ""
-            for labels, make, system, classify in (
-                (fix_labels, canonical_representative, "fix", classify_fix),
-                (torus_labels, canonical_torus_representative, "torus", classify_torus),
+            for labels, make, classify in (
+                (fix_labels, canonical_representative, classify_fix),
+                (torus_labels, canonical_torus_representative, classify_torus),
             ):
                 for label in labels:
                     if bad:
                         break
                     rep = make(n, label)
-                    res = residual_for(rep, system, n).max
+                    res = residual_array([rep], n).max()
                     if res > 1e-9:
                         bad = f"{label} residual {res:.2e}"
                     elif classify(rep, n, tol).text() != label.text():
@@ -355,6 +353,13 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repvar",
@@ -384,21 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="central, +,0,1, eps=-1,+,0,1, ... (use --label=-,k,l for minus signs)",
     )
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-9, help="residual tolerance")
     p.add_argument("--out", type=str, default="", help="output file (default: stdout)")
     p.set_defaults(func=cmd_representative)
 
     p = sub.add_parser("classify", help="classify a representation file")
     p.add_argument("rep", type=str, help="representation file (repvar-1)")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-9, help="residual tolerance")
     _add_format(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("probe", help="search for a path certificate between two files")
     p.add_argument("rep0", type=str)
     p.add_argument("rep1", type=str)
-    p.add_argument("--tol", type=float, default=1e-7, help="residual tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-7, help="residual tolerance")
     p.add_argument("--out", type=str, default="", help="output file (default: stdout)")
     p.set_defaults(func=cmd_probe)
 
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=_int_at_least(1), default=20, help="samples per label")
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--tol", type=float, default=1e-7, help="residual tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-7, help="residual tolerance")
     _add_format(p)
     p.set_defaults(func=cmd_census)
 
@@ -416,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_int_at_least(0), default=0, help="census samples per label (0: none)"
     )
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-9, help="residual tolerance")
     _add_format(p)
     p.set_defaults(func=cmd_verify)
 

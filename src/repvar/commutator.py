@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .solvers import refine_elements, tangent_jacobian
+from .solvers import refine_elements
 from .su2 import (
     E1,
     I,
@@ -44,6 +44,7 @@ from .su2 import (
     exp_axis_angle,
     haar_random,
     qcommutator,
+    random_torus_element,
     step_between,
     stepped,
     torus_snap,
@@ -132,15 +133,10 @@ def project_pair_to_fiber(
     Returns (a, b, residual, converged); never raises.
     """
 
-    def gaps(q) -> np.ndarray:  # [A, B] - c, for quaternion 4-tuples q
+    def gaps(q, ops) -> np.ndarray:  # [A, B] - c, for quaternion 4-tuples q
         return np.array([u - v for u, v in zip(qcommutator(*q), c.to_list())])
 
-    def jacobian(els: list[SU2]) -> np.ndarray:
-        return tangent_jacobian(gaps, els)
-
-    result = refine_elements(
-        (a, b), lambda els: gaps([el.to_list() for el in els]), jacobian, tol=tol
-    )
+    result = refine_elements((a, b), gaps, tol=tol)
     return (*result.elements, result.residual, result.converged)
 
 
@@ -163,7 +159,7 @@ def _random_centralizer_element(u: SU2, rng: np.random.Generator) -> SU2:
     _MINUS_ONE_BAND, where its axis is rounding noise)."""
     if u.is_central(_MINUS_ONE_BAND):
         return haar_random(rng)
-    return exp_axis_angle(u.axis(), rng.uniform(-math.pi, math.pi))
+    return random_torus_element(u.axis(), rng)
 
 
 def randomize_in_fiber(a: SU2, b: SU2, rng: np.random.Generator) -> Pair:

@@ -35,12 +35,14 @@ from .su2 import (
     exp_axis_angle,
     haar_random,
     random_axis,
+    random_torus_element,
 )
 from .varieties import (
     Rep,
     ResidualError,
     SurfaceRep,
     TorusRep,
+    check_system,
     derived_x,
     random_surface_rep,
     residual_array,
@@ -262,12 +264,12 @@ def quantized_index(theta: float, m: int, sigma: int, what: str) -> int:
     return k
 
 
-def label_residuals(points: Sequence[Rep], system: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per point, the two residuals a label reading needs: the residual in
-    `system` and the fixed-point residual at n of the surface part."""
-    residuals = residual_array(points, system, n).max(axis=1)
-    if system == "torus" and n:
-        return residuals, residual_array([p.rep for p in points], "fix", n).max(axis=1)
+def label_residuals(points: Sequence[Rep], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of one system, the two residuals a label reading needs: its
+    residual and the fixed-point residual at n of its surface part."""
+    residuals = residual_array(points, n).max(axis=1)
+    if points[0].system == "torus" and n:
+        return residuals, residual_array([p.rep for p in points], n).max(axis=1)
     return residuals, residuals
 
 
@@ -277,7 +279,8 @@ def classify_fix(rep: SurfaceRep, n: int, tol: float = 1e-9) -> ComponentLabel:
     Raises ResidualError when the residual precondition fails and
     Unclassifiable when centrality or index rounding is ambiguous.
     """
-    _, (fix_residual,) = label_residuals([rep], "fix", n)
+    check_system(rep, "fix")
+    _, (fix_residual,) = label_residuals([rep], n)
     return read_fix_label(rep, n, fix_residual, tol)
 
 
@@ -314,7 +317,8 @@ def classify_torus(trep: TorusRep, n: int, tol: float = 1e-9) -> TorusLabel:
     Points with non-central T all belong to the merged central component;
     for T at a central value epsilon the label lifts the fixed-point label.
     """
-    (residual,), (fix_residual,) = label_residuals([trep], "torus", n)
+    check_system(trep, "torus")
+    (residual,), (fix_residual,) = label_residuals([trep], n)
     return read_torus_label(trep, n, residual, fix_residual, tol)
 
 
@@ -385,10 +389,9 @@ def canonical_torus_representative(n: int, label: TorusLabel) -> TorusRep:
     return TorusRep(t, canonical_representative(n, label.fix))
 
 
-def _random_abelian_rep(rng: np.random.Generator) -> SurfaceRep:
-    axis = random_axis(rng)
-    els = [exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)) for _ in range(6)]
-    return SurfaceRep(*els)
+def _random_abelian_rep(axis, rng: np.random.Generator) -> SurfaceRep:
+    """Six independent uniform elements of the maximal torus of `axis`."""
+    return SurfaceRep(*(random_torus_element(axis, rng) for _ in range(6)))
 
 
 def _off_center_a1(k: int, rng: np.random.Generator) -> SU2:
@@ -411,9 +414,7 @@ def _with_random_b1(a1: SU2, a3: SU2, b3: SU2, rng: np.random.Generator) -> Surf
 def _random_torus_core_rep(m: int, rng: np.random.Generator) -> SurfaceRep:
     # a1^m firmly non-central; a3, b3 on a1's torus; b1 free
     a1 = _off_center_a1(m, rng)
-    axis = a1.axis()
-    a3 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
-    b3 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
+    a3, b3 = random_torus_element(a1.axis(), rng), random_torus_element(a1.axis(), rng)
     return _with_random_b1(a1, a3, b3, rng)
 
 
@@ -444,7 +445,7 @@ def randomized_representative(
         else:
             flavor = int(rng.integers(3))
             if flavor == 0:
-                rep = _random_abelian_rep(rng)
+                rep = _random_abelian_rep(random_axis(rng), rng)
             elif flavor == 1:
                 rep = _random_torus_core_rep(m, rng)
             else:
@@ -478,8 +479,7 @@ def randomized_torus_representative(
         axis = random_axis(rng)
         theta = rng.uniform(0.05, math.pi - 0.05)
         t = exp_axis_angle(axis, theta if rng.integers(2) == 0 else -theta)
-        els = [exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)) for _ in range(6)]
-        return TorusRep(t, SurfaceRep(*els))
+        return TorusRep(t, _random_abelian_rep(axis, rng))
     return random_extended_fixed_sample(n, rng)
 
 
@@ -497,7 +497,5 @@ def random_extended_fixed_sample(n: int, rng: np.random.Generator) -> TorusRep:
     b1 = haar_random(rng)
     t = s * (b1 * a1.power(-n) * b1.inverse())
     a3, b3 = sample_fiber(commutator(b1, a1), rng)
-    axis = t.axis()
-    a2 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
-    b2 = exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
+    a2, b2 = random_torus_element(t.axis(), rng), random_torus_element(t.axis(), rng)
     return TorusRep(t, SurfaceRep(a1, b1, a2, b2, a3, b3))

@@ -96,6 +96,7 @@ from .varieties import (
     Rep,
     SurfaceRep,
     TorusRep,
+    check_system,
     derived_x,
     read_json,
     rep_from_dict,
@@ -188,9 +189,7 @@ def _constant_angle_path(x: SU2, target_axis) -> tuple[Callable[[float], SU2], f
 
 # -- certificate assembly and verification ----------------------------------
 
-def _finish(
-    points: list[Rep], system: str, n: int, label_text: str, tol: float
-) -> PathCertificate:
+def _finish(points: list[Rep], n: int, label_text: str, tol: float) -> PathCertificate:
     """Keep each point more than 1e-14 from the last kept one, and end on the
     last point, in place of its near-duplicate; check the bounds."""
     pts, steps = [points[0]], [0.0]
@@ -204,7 +203,7 @@ def _finish(
         if len(pts) > 1:
             steps[-1] = step_between(pts[-2].elements(), pts[-1].elements())
     max_step = max(steps)
-    max_residual = float(residual_array(pts, system, n).max())
+    max_residual = float(residual_array(pts, n).max())
     if max_residual > tol:
         raise PathError(
             f"constructed path violates residual bound: {max_residual:.3e}",
@@ -214,7 +213,7 @@ def _finish(
         raise PathError(
             f"constructed path violates step bound: {max_step:.3f}", stage="assembly"
         )
-    return PathCertificate(system, n, tuple(pts), max_residual, max_step, label_text, tol)
+    return PathCertificate(pts[0].system, n, tuple(pts), max_residual, max_step, label_text, tol)
 
 
 @dataclass(frozen=True)
@@ -224,15 +223,15 @@ class VerificationReport:
 
 
 def _labels(
-    pts: Sequence[Rep], system: str, n: int, tol: float
+    pts: Sequence[Rep], n: int, tol: float
 ) -> tuple[np.ndarray, list[ComponentLabel | TorusLabel | None]]:
-    """The residuals of pts in `system` and their labels (None where
+    """The residuals of pts, of one system, and their labels (None where
     unclassifiable at tol): one label_residuals batch, then the readings."""
-    residuals, fix_residuals = label_residuals(pts, system, n)
+    residuals, fix_residuals = label_residuals(pts, n)
     out: list[ComponentLabel | TorusLabel | None] = []
     for p, res, fix_res in zip(pts, residuals, fix_residuals):
         try:
-            if system == "fix":
+            if p.system == "fix":
                 out.append(read_fix_label(p, n, fix_res, tol))
             else:
                 out.append(read_torus_label(p, n, res, fix_res, tol))
@@ -245,24 +244,30 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
     """Independent re-check of every certificate invariant.
 
     Uses only the residual table (one label_residuals batch, which doubles
-    as the readings' precondition) and the label readings: per-point
-    residuals against the stated maximum, the stated maximum against the
-    stated tolerance, consecutive steps against the stated step bound, that
-    bound against MAX_STEP, and the label of every point, endpoints and
-    interior alike, against the stated label (an unclassifiable point is a
-    problem).
+    as the readings' precondition) and the label readings: that every
+    stated bound is finite, per-point residuals against the stated maximum,
+    the stated maximum against the stated tolerance, consecutive steps
+    against the stated step bound, that bound against MAX_STEP, and the
+    label of every point, endpoints and interior alike, against the stated
+    label (an unclassifiable point is a problem).  Points of another
+    system than the stated one end the check.
     """
     problems: list[str] = []
     pts = cert.points
     if not pts:
         return VerificationReport(False, ("certificate has no points",))
+    for name in ("tol", "max_residual", "max_step"):
+        if not math.isfinite(getattr(cert, name)):
+            problems.append(f"stated {name} {getattr(cert, name)} is not finite")
     if cert.max_residual > cert.tol:
         problems.append(
             f"stated residual bound {cert.max_residual:.3e} exceeds tolerance {cert.tol:.1e}"
         )
     if cert.max_step > MAX_STEP + 1e-12:
         problems.append(f"stated step bound {cert.max_step:.3f} exceeds MAX_STEP = {MAX_STEP}")
-    residuals, labels = _labels(pts, cert.system, cert.n, cert.tol)
+    if any(p.system != cert.system for p in pts):
+        return VerificationReport(False, (*problems, f"points outside the {cert.system!r} system"))
+    residuals, labels = _labels(pts, cert.n, cert.tol)
     for i, r in enumerate(residuals):
         if r > cert.max_residual + 1e-14:
             problems.append(f"point {i}: residual {r:.3e} above stated bound")
@@ -313,6 +318,8 @@ def certificate_from_dict(data: dict) -> PathCertificate:
         accepted = (int, float) if kind is float else kind
         if isinstance(data[key], bool) or not isinstance(data[key], accepted):
             raise ValueError(f"{key}: expected {kind.__name__}, found {data[key]!r}")
+        if kind is float and not math.isfinite(data[key]):
+            raise ValueError(f"{key}: expected a finite number, found {data[key]!r}")
     if data["system"] not in _SYSTEM_IDS:
         raise ValueError(f"system: unknown {data['system']!r}")
     points = []
@@ -321,11 +328,9 @@ def certificate_from_dict(data: dict) -> PathCertificate:
             _, rep = rep_from_dict(pdoc)
         except ValueError as exc:
             raise ValueError(f"points[{i}]: {exc}") from exc
-        points.append(rep)
-    want_torus = data["system"] == "torus"
-    for i, p in enumerate(points):
-        if isinstance(p, TorusRep) != want_torus:
+        if rep.system != data["system"]:
             raise ValueError(f"points[{i}]: wrong representation kind for system")
+        points.append(rep)
     return PathCertificate(
         data["system"],
         data["n"],
@@ -473,7 +478,7 @@ def _central_descent(rep: SurfaceRep, m: int) -> list[SurfaceRep]:
 def canonical_path(rep: SurfaceRep, n: int, tol: float = TOL) -> PathCertificate:
     """Certificate from `rep` to the canonical representative of its label."""
     label = classify_fix(rep, n, tol)
-    return _finish(_path_points(rep, "fix", n, label, tol), "fix", n, label.text(), tol)
+    return _finish(_path_points(rep, n, label, tol), n, label.text(), tol)
 
 
 def _fix_path_points(rep: SurfaceRep, n: int, label: ComponentLabel) -> list[SurfaceRep]:
@@ -594,7 +599,7 @@ def _boundary_stratum_descent(trep: TorusRep, n: int) -> list[TorusRep]:
 def canonical_torus_path(trep: TorusRep, n: int, tol: float = TOL) -> PathCertificate:
     """Certificate from a mapping-torus point to its canonical representative."""
     label = classify_torus(trep, n, tol)
-    return _finish(_path_points(trep, "torus", n, label, tol), "torus", n, label.text(), tol)
+    return _finish(_path_points(trep, n, label, tol), n, label.text(), tol)
 
 
 def _torus_path_points(
@@ -623,11 +628,9 @@ def _torus_path_points(
 
 # -- the staged path of every system, and joins between two points -------------
 
-def _path_points(
-    rep: Rep, system: str, n: int, label: ComponentLabel | TorusLabel, tol: float
-) -> list[Rep]:
+def _path_points(rep: Rep, n: int, label: ComponentLabel | TorusLabel, tol: float) -> list[Rep]:
     """The staged path's nodes from `rep`, of component `label`, not yet assembled."""
-    if system == "torus":
+    if rep.system == "torus":
         return _torus_path_points(rep, n, label, tol)
     return _fix_path_points(rep, n, label)
 
@@ -645,9 +648,12 @@ def probe_path(
     the equations are conjugation invariant, so every node is exact.
     Unless that leg ends within MAX_STEP of r1, the canonical paths from
     its end and from r1 follow, the second reversed.  Endpoints with
-    different labels are refused immediately.
+    different labels are refused immediately, and endpoints that are not
+    points of `system` raise ValueError.
     """
-    residuals, (label0, label1) = _labels([r0, r1], system, n, tol)
+    check_system(r0, system)
+    check_system(r1, system)
+    residuals, (label0, label1) = _labels([r0, r1], n, tol)
     for name, res in zip(("first", "second"), residuals):
         if res > tol:
             raise ResidualError(f"{name} endpoint residual {res:.3e} above tolerance")
@@ -661,10 +667,10 @@ def probe_path(
     g = best_conjugator(r0.elements(), r1.elements())
     points = [r0, *(r0.conjugate(h) for h in conjugators(g))]
     if step_between(points[-1].elements(), r1.elements()) > MAX_STEP:
-        points += _path_points(points[-1], system, n, label0, tol)
-        points += _path_points(r1, system, n, label0, tol)[::-1]
+        points += _path_points(points[-1], n, label0, tol)
+        points += _path_points(r1, n, label0, tol)[::-1]
     points.append(r1)
-    return _finish(points, system, n, label0.text(), tol)
+    return _finish(points, n, label0.text(), tol)
 
 
 # -- Monte Carlo census -------------------------------------------------------
@@ -813,8 +819,7 @@ def census(
             if got != label:
                 anomalies += 1
             try:
-                points = _path_points(rep, system, n, got, tol)
-                cert = _finish(points, system, n, got.text(), tol)
+                cert = _finish(_path_points(rep, n, got, tol), n, got.text(), tol)
             except _SAMPLE_FAILURES:
                 continue
             if verify_certificate(cert).ok:

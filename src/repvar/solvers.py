@@ -1,16 +1,17 @@
 """Damped least-squares refinement for tuples of group elements.
 
 The engine minimizes a caller-supplied residual over products of unit
-quaternions, given its exact Jacobian in left tangent coordinates (column
-3i + a moves element i by the a-th imaginary unit), which tangent_jacobian
-builds by complex steps from a residual on quaternion 4-tuples.  Updates
-are tangent steps applied by left multiplication with exp of a pure
-quaternion, then renormalization (the retraction).  Levenberg-Marquardt
-damping grows when a step fails to reduce the residual.  The damped step
-is solved in the Jacobian's SVD basis without its near-null directions
-(the solution set's own tangents, gauge included), so it is the
-minimum-norm step and rounding in the residual does not push it along
-them.
+quaternions.  The residual is written once, as gaps(q, ops) over the
+elements' quaternion 4-tuples q with su2's `ops`: it is evaluated on
+floats, and on complex steps for its exact Jacobian in left tangent
+coordinates (column 3i + a moves element i by the a-th imaginary unit),
+which tangent_jacobian builds.  Updates are tangent steps applied by left
+multiplication with exp of a pure quaternion, then renormalization (the
+retraction).  Levenberg-Marquardt damping grows when a step fails to
+reduce the residual.  The damped step is solved in the Jacobian's SVD
+basis without its near-null directions (the solution set's own tangents,
+gauge included), so it is the minimum-norm step and rounding in the
+residual does not push it along them.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .su2 import SU2, exp_tangent
+from .su2 import COMPLEX_OPS, FLOAT_OPS, SU2, exp_tangent
 
 __all__ = ["RefineResult", "refine_elements", "tangent_jacobian"]
-
-ResidualFn = Callable[[list[SU2]], np.ndarray]
 
 _STEP = 1e-30  # f(x + i h v) = f(x) + i h f'(x) v + O(h^2): no cancellation
 
@@ -57,9 +56,9 @@ def _tangent_steps(elements: Sequence[SU2]) -> np.ndarray:
 
 def tangent_jacobian(gaps: Callable, elements: Sequence[SU2]) -> np.ndarray:
     """Jacobian, in the left tangent coordinates of refine_elements, of a
-    residual written as gaps(q), q the elements' quaternion 4-tuples and
-    gaps analytic in them: one complex-step run over all 3k directions."""
-    return np.asarray(gaps(_tangent_steps(elements))).imag / _STEP
+    residual gaps(q, ops) analytic in the elements' quaternion 4-tuples q:
+    one run on COMPLEX_OPS over all 3k directions."""
+    return np.asarray(gaps(_tangent_steps(elements), COMPLEX_OPS)).imag / _STEP
 
 
 def _retract(elements: list[SU2], delta: np.ndarray) -> list[SU2]:
@@ -69,34 +68,30 @@ def _retract(elements: list[SU2], delta: np.ndarray) -> list[SU2]:
 
 
 def refine_elements(
-    elements: Sequence[SU2],
-    residual_fn: ResidualFn,
-    jacobian_fn: ResidualFn,
-    *,
-    tol: float = 1e-11,
-    max_iter: int = 100,
+    elements: Sequence[SU2], gaps: Callable, *, tol: float = 1e-11, max_iter: int = 100
 ) -> RefineResult:
-    """Drive the 2-norm of residual_fn below tol, starting from elements.
+    """Drive the 2-norm of gaps(q, FLOAT_OPS) below tol, starting from
+    elements; its Jacobian is tangent_jacobian(gaps, elements)."""
 
-    jacobian_fn(elements) is the (len(residual), 3 * len(elements))
-    derivative of residual_fn along the left tangent directions.
-    """
+    def residual(els: list[SU2]) -> np.ndarray:
+        return np.asarray(gaps([el.to_list() for el in els], FLOAT_OPS), dtype=float)
+
     current = list(elements)
-    r = np.asarray(residual_fn(current), dtype=float)
+    r = residual(current)
     best = float(np.linalg.norm(r))
     lam = 1e-4
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if best <= tol:
             break
-        u, s, vt = np.linalg.svd(jacobian_fn(current), full_matrices=False)
+        u, s, vt = np.linalg.svd(tangent_jacobian(gaps, current), full_matrices=False)
         keep = s > _RANK_CUTOFF * s[0]
         s, vt, ur = s[keep], vt[keep], u[:, keep].T @ r
         improved = False
         for _ in range(16):
             delta = -vt.T @ (s / (s * s + lam) * ur)
             candidate = _retract(current, delta)
-            rc = np.asarray(residual_fn(candidate), dtype=float)
+            rc = residual(candidate)
             nc = float(np.linalg.norm(rc))
             if nc < best:
                 current, r, best = candidate, rc, nc

@@ -35,6 +35,7 @@ __all__ = [
     "geodesic_distance",
     "step_between",
     "haar_random",
+    "random_torus_element",
     "central_gap",
     "axis_rotation",
     "qmul",
@@ -43,6 +44,7 @@ __all__ = [
     "qpow",
     "FLOAT_OPS",
     "ARRAY_OPS",
+    "COMPLEX_OPS",
     "torus_snap",
     "random_axis",
     "MAX_STEP",
@@ -98,6 +100,24 @@ def qpow(a, k: int, ops):
 
 FLOAT_OPS = (math.sqrt, math.atan2, math.sin, math.cos, lambda c, a, b: a if c else b, qpow)
 ARRAY_OPS = (np.sqrt, np.arctan2, np.sin, np.cos, np.where, qpow)
+
+
+def _complex_atan2(y, x):
+    """atan2 for complex steps: its imaginary part is (x dy - y dx) / (x^2 + y^2)."""
+    yr, xr = y.real, x.real
+    return np.arctan2(yr, xr) + 1j * (xr * y.imag - yr * x.imag) / (xr * xr + yr * yr)
+
+
+def _qpow_from_nearer_pole(a, k: int, ops):
+    """qpow for complex steps, as p^k (p a)^k with p = sign(w): near -1 the
+    angle rounds to pi, losing vn and with it the derivative of sin(kt) / vn."""
+    p = np.where(a[0].real < 0.0, -1.0, 1.0)
+    power = qpow(tuple(p * c for c in a), k, ops)
+    return power if k % 2 == 0 else tuple(p * c for c in power)
+
+
+# for complex steps, with exact derivatives; qpow's `w > 0.0` orders by real part first
+COMPLEX_OPS = (np.sqrt, _complex_atan2, np.sin, np.cos, np.where, _qpow_from_nearer_pole)
 
 
 class SU2:
@@ -268,6 +288,11 @@ def random_axis(rng: np.random.Generator) -> tuple[float, float, float]:
     v = rng.standard_normal(3)
     v = v / np.linalg.norm(v)
     return (float(v[0]), float(v[1]), float(v[2]))
+
+
+def random_torus_element(axis, rng: np.random.Generator) -> SU2:
+    """Uniform element of the maximal torus of a unit `axis`."""
+    return exp_axis_angle(axis, rng.uniform(-math.pi, math.pi))
 
 
 # -- stepped paths ------------------------------------------------------------

@@ -23,9 +23,12 @@ Four solution sets are realized numerically, all inside powers of SU(2):
 * the extended fixed set: surface representations conjugate to their own
   pullback by some T (solve_intertwiner finds that T in closed form).
 
-Residuals are Euclidean norms of 4-vector differences, reported per
-equation so failures localize.  Powers X^n are computed by exact angle
-scaling, so they do not drift for large n.
+A point's class names its system: a SurfaceRep is a point of the
+fixed-point system and a TorusRep one of the torus system.  Residuals are
+Euclidean norms of 4-vector differences, one per equation so failures
+localize, in table order: relator, a1, b1, a3, b3 for the fixed-point
+system and relator, a1, b1, a2, b2, a3, b3 for the torus system.  Powers
+X^n are computed by exact angle scaling, so they do not drift for large n.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .commutator import sample_fiber
-from .solvers import refine_elements, tangent_jacobian
+from .solvers import refine_elements
 from .su2 import (
     ARRAY_OPS,
     FLOAT_OPS,
@@ -53,7 +56,6 @@ from .su2 import (
     qcommutator,
     qinv,
     qmul,
-    qpow,
 )
 from .words import SURFACE_GENERATORS, Generator, evaluate, phi_substitution
 
@@ -62,13 +64,11 @@ __all__ = [
     "TorusRep",
     "Rep",
     "trivial_rep",
-    "ResidualReport",
     "ResidualError",
     "derived_x",
-    "surface_residual",
+    "check_system",
     "fixed_point_residual",
     "torus_residual",
-    "residual_for",
     "residual_array",
     "random_surface_rep",
     "project_to_variety",
@@ -90,6 +90,7 @@ __all__ = [
 class SurfaceRep:
     """Images of the six surface-group generators."""
 
+    system = "fix"
     a1: SU2
     b1: SU2
     a2: SU2
@@ -118,6 +119,7 @@ class SurfaceRep:
 class TorusRep:
     """Image T of the mapping-torus loop together with a surface tuple."""
 
+    system = "torus"
     t: SU2
     rep: SurfaceRep
 
@@ -151,20 +153,6 @@ class ResidualError(ValueError):
     """The point's residual exceeds the tolerance: it is off the variety."""
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Per-equation residual magnitudes, keyed by equation tag."""
-
-    entries: tuple[tuple[str, float], ...]
-
-    @property
-    def max(self) -> float:
-        return max(value for _, value in self.entries)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
-
-
 def derived_x(rep: SurfaceRep) -> SU2:
     """[A3, B3] * A1, the element whose powers drive all the conditions."""
     return commutator(rep.a3, rep.b3) * rep.a1
@@ -172,30 +160,11 @@ def derived_x(rep: SurfaceRep) -> SU2:
 
 # -- the equation tables -------------------------------------------------------
 #
-# Each system is written once, as (tag, lhs, rhs) terms over quaternion
-# 4-tuples of floats (one point), numpy (N,) arrays (N points) or complex
-# arrays (complex steps), with `ops` = (sqrt, atan2, sin, cos, where, power)
-# to match: su2's FLOAT_OPS and ARRAY_OPS, whose power is su2.qpow, or
-# _COMPLEX_OPS below.  The complex atan2 carries (x dy - y dx) / (x^2 + y^2)
-# as its imaginary part, and `w > 0.0` orders complex values by real part
-# first.  The residual report, least-squares vector, Jacobian and array
-# read them.
+# Each system is written once, as (lhs, rhs) rows over quaternion 4-tuples
+# of floats (one point), numpy (N,) arrays (N points) or complex arrays
+# (complex steps), with `ops` to match: su2's FLOAT_OPS, ARRAY_OPS or
+# COMPLEX_OPS.  residual_array and the least-squares gaps read them.
 
-
-def _complex_atan2(y, x):
-    yr, xr = y.real, x.real
-    return np.arctan2(yr, xr) + 1j * (xr * y.imag - yr * x.imag) / (xr * xr + yr * yr)
-
-
-def _qpow_from_nearer_pole(a, k: int, ops):
-    """qpow for complex steps, as p^k (p a)^k with p = sign(w): near -1 the
-    angle rounds to pi, losing vn and with it the derivative of sin(kt) / vn."""
-    p = np.where(a[0].real < 0.0, -1.0, 1.0)
-    power = qpow(tuple(p * c for c in a), k, ops)
-    return power if k % 2 == 0 else tuple(p * c for c in power)
-
-
-_COMPLEX_OPS = (np.sqrt, _complex_atan2, np.sin, np.cos, np.where, _qpow_from_nearer_pole)
 _ONE_Q = (1.0, 0.0, 0.0, 0.0)
 
 # below this many points a batch is cheaper point by point on floats
@@ -208,21 +177,21 @@ def _relator(a1, b1, a2, b2, a3, b3):
     return qmul(qmul(qcommutator(a1, b1), qcommutator(a2, b2)), c3), c3
 
 
-def _fix_terms(q, n: int, ops):
+def _fix_rows(q, n: int, ops):
     a1, b1, a2, b2, a3, b3 = q
     rel, c3 = _relator(*q)
     power = ops[5]
     xn = power(qmul(c3, a1), n, ops)
     return (
-        ("relator", rel, _ONE_Q),
-        ("a1", qmul(xn, a1), qmul(a1, xn)),
-        ("b1", power(a1, n, ops), xn),
-        ("a3", qmul(xn, a3), qmul(a3, xn)),
-        ("b3", qmul(xn, b3), qmul(b3, xn)),
+        (rel, _ONE_Q),  # relator
+        (qmul(xn, a1), qmul(a1, xn)),  # a1
+        (power(a1, n, ops), xn),  # b1
+        (qmul(xn, a3), qmul(a3, xn)),  # a3
+        (qmul(xn, b3), qmul(b3, xn)),  # b3
     )
 
 
-def _torus_terms(q, n: int, ops):
+def _torus_rows(q, n: int, ops):
     t, a1, b1, a2, b2, a3, b3 = q
     rel, c3 = _relator(*q[1:])
     power = ops[5]
@@ -230,74 +199,62 @@ def _torus_terms(q, n: int, ops):
     txn = qmul(t, xn)
     b1_lhs = qmul(qmul(qmul(qinv(b1), qinv(t)), b1), t)
     return (
-        ("relator", rel, _ONE_Q),
-        ("a1", qmul(a1, txn), qmul(txn, a1)),
-        ("b1", b1_lhs, qmul(power(a1, n, ops), qinv(xn))),
-        ("a2", qmul(a2, t), qmul(t, a2)),
-        ("b2", qmul(b2, t), qmul(t, b2)),
-        ("a3", qmul(a3, txn), qmul(txn, a3)),
-        ("b3", qmul(b3, txn), qmul(txn, b3)),
+        (rel, _ONE_Q),  # relator
+        (qmul(a1, txn), qmul(txn, a1)),  # a1
+        (b1_lhs, qmul(power(a1, n, ops), qinv(xn))),  # b1
+        (qmul(a2, t), qmul(t, a2)),  # a2
+        (qmul(b2, t), qmul(t, b2)),  # b2
+        (qmul(a3, txn), qmul(txn, a3)),  # a3
+        (qmul(b3, txn), qmul(txn, b3)),  # b3
     )
 
 
-_TABLES = {"fix": _fix_terms, "torus": _torus_terms}
+_TABLES = {"fix": _fix_rows, "torus": _torus_rows}
 
 
 def _gap(lhs, rhs, sqrt):
     return sqrt(sum((u - v) * (u - v) for u, v in zip(lhs, rhs)))
 
 
-def _quats(rep: Rep, system: str) -> list[tuple[float, float, float, float]]:
-    if system not in _TABLES:
-        raise ValueError(f"unknown system {system!r}")
-    if isinstance(rep, TorusRep) != (system == "torus"):
-        kind = "torus" if system == "torus" else "surface"
-        raise ValueError(f"{system} system takes a {kind} representation")
+def _quats(rep: Rep) -> list[tuple[float, float, float, float]]:
     return [(el.w, el.x, el.y, el.z) for el in rep.elements()]
 
 
-def _report(rep: Rep, system: str, n: int) -> ResidualReport:
-    terms = _TABLES[system](_quats(rep, system), n, FLOAT_OPS)
-    return ResidualReport(tuple((tag, _gap(l, r, math.sqrt)) for tag, l, r in terms))
+def check_system(rep: Rep, system: str) -> None:
+    """ValueError unless rep is a point of `system`, "fix" or "torus"."""
+    if getattr(rep, "system", None) != system:
+        raise ValueError(f"the {system!r} system does not take a {type(rep).__name__}")
 
 
-def surface_residual(rep: SurfaceRep) -> ResidualReport:
-    """The fixed-point report at n = 0: the relator, its other rows exactly 0."""
-    return _report(rep, "fix", 0)
+def residual_array(points: Sequence[Rep], n: int) -> np.ndarray:
+    """Residuals of points of the one system their class names, shape (N, E):
+    row i holds the equations' residuals at points[i] in table order.
 
-
-def fixed_point_residual(rep: SurfaceRep, n: int) -> ResidualReport:
-    return _report(rep, "fix", n)
-
-
-def torus_residual(trep: TorusRep, n: int) -> ResidualReport:
-    return _report(trep, "torus", n)
-
-
-def residual_for(rep: Rep, system: str, n: int) -> ResidualReport:
-    """Residual report for one of the two equation systems."""
-    if system == "fix":
-        return fixed_point_residual(rep, n)
-    if system == "torus":
-        return torus_residual(rep, n)
-    return _report(rep, system, n)
-
-
-def residual_array(points: Sequence[Rep], system: str, n: int) -> np.ndarray:
-    """Per-equation residuals of many points, shape (N, E): entry (i, j) is
-    the j-th entry of residual_for(points[i], system, n) up to rounding.
-
-    From _BATCH_MIN points on, the table runs once over numpy arrays, at
-    about the cost of six single-point reports whatever N is.
+    Below _BATCH_MIN points the table runs point by point on floats; from
+    there on, once over numpy arrays, at about the cost of six single
+    points whatever N is.
     """
-    if 0 < len(points) < _BATCH_MIN:
-        return np.array([[v for _, v in _report(p, system, n).entries] for p in points])
-    width = 7 if system == "torus" else 6
-    coords = np.array([_quats(p, system) for p in points], dtype=float)
+    rows = _TABLES[points[0].system]
+    if len(points) < _BATCH_MIN:
+        return np.array([
+            [_gap(lhs, rhs, math.sqrt) for lhs, rhs in rows(_quats(p), n, FLOAT_OPS)]
+            for p in points
+        ])
     # one (4, N) block of components per element
-    q = np.ascontiguousarray(coords.reshape(len(points), width, 4).transpose(1, 2, 0))
-    terms = _TABLES[system](q, n, ARRAY_OPS)
-    return np.stack([_gap(l, r, np.sqrt) for _, l, r in terms], axis=1)
+    q = np.ascontiguousarray(np.array([_quats(p) for p in points]).transpose(1, 2, 0))
+    return np.stack([_gap(lhs, rhs, np.sqrt) for lhs, rhs in rows(q, n, ARRAY_OPS)], axis=1)
+
+
+def fixed_point_residual(rep: SurfaceRep, n: int) -> np.ndarray:
+    """The fixed-point residuals of one surface tuple, in table order."""
+    check_system(rep, "fix")
+    return residual_array([rep], n)[0]
+
+
+def torus_residual(trep: TorusRep, n: int) -> np.ndarray:
+    """The torus residuals of one seven-tuple, in table order."""
+    check_system(trep, "torus")
+    return residual_array([trep], n)[0]
 
 
 def random_surface_rep(rng: np.random.Generator) -> SurfaceRep:
@@ -317,52 +274,37 @@ def random_surface_rep(rng: np.random.Generator) -> SurfaceRep:
 @dataclass(frozen=True)
 class VarietyProjection:
     rep: Rep
-    report: ResidualReport
+    residual: float
     converged: bool
     iterations: int
 
 
 def _table_gaps(quats, system: str, n: int, ops) -> np.ndarray:
-    terms = _TABLES[system](quats, n, ops)
-    return np.array([u - v for _, lhs, rhs in terms for u, v in zip(lhs, rhs)])
-
-
-def _signed_residual(elements: Sequence[SU2], system: str, n: int) -> np.ndarray:
-    # signed 4-vector differences per equation, for the least-squares engine
-    return _table_gaps([el.to_list() for el in elements], system, n, FLOAT_OPS)
-
-
-def _signed_jacobian(elements: Sequence[SU2], system: str, n: int) -> np.ndarray:
-    # d _signed_residual / d tangent: one complex table run over all 3k directions
-    return tangent_jacobian(lambda q: _table_gaps(q, system, n, _COMPLEX_OPS), elements)
+    """The signed 4-vector differences of every equation of `system`."""
+    rows = _TABLES[system](quats, n, ops)
+    return np.array([u - v for lhs, rhs in rows for u, v in zip(lhs, rhs)])
 
 
 def project_to_variety(
-    start: Rep,
-    n: int,
-    system: str,
-    tol: float = 1e-9,
-    max_iter: int = 100,
+    start: Rep, n: int, tol: float = 1e-9, max_iter: int = 100
 ) -> VarietyProjection:
-    """Damped least-squares projection onto one of the equation systems.
+    """Damped least-squares projection onto the system of start's class.
 
     Returns the best point found; `converged` is False when the budget
     runs out, never a silently bad output.
     """
-    report = residual_for(start, system, n)
-    if report.max <= tol:
-        return VarietyProjection(start, report, True, 0)
-    rebuild = TorusRep.from_elements if isinstance(start, TorusRep) else SurfaceRep.from_elements
+    residual = float(residual_array([start], n).max())
+    if residual <= tol:
+        return VarietyProjection(start, residual, True, 0)
     result = refine_elements(
         start.elements(),
-        lambda elements: _signed_residual(elements, system, n),
-        lambda elements: _signed_jacobian(elements, system, n),
+        lambda q, ops: _table_gaps(q, start.system, n, ops),
         tol=min(tol * 1e-2, 1e-11),
         max_iter=max_iter,
     )
-    rep = rebuild(result.elements)
-    report = residual_for(rep, system, n)
-    return VarietyProjection(rep, report, report.max <= tol, result.iterations)
+    rep = type(start).from_elements(result.elements)
+    residual = float(residual_array([rep], n).max())
+    return VarietyProjection(rep, residual, residual <= tol, result.iterations)
 
 
 # -- intertwiner search --------------------------------------------------
@@ -386,7 +328,7 @@ def solve_intertwiner(rep: SurfaceRep, n: int, tol: float = 1e-9) -> Intertwiner
     representation lies in the extended fixed set to within tol, and then
     (T, rep) satisfies the torus system at the same scale.
     """
-    pre = surface_residual(rep).max
+    pre = residual_array([rep], 0).max()
     if pre > tol:
         raise ResidualError(f"surface residual {pre:.3e} exceeds tol {tol:.1e}")
     images = rep.images()

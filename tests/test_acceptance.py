@@ -96,11 +96,11 @@ def test_criterion_4_constructive_representatives():
     for n in range(1, 7):
         for label in enumerate_fix_labels(n):
             rep = canonical_representative(n, label)
-            assert fixed_point_residual(rep, n).max < 1e-9
+            assert fixed_point_residual(rep, n).max() < 1e-9
             assert classify_fix(rep, n) == label
         for tlabel in enumerate_torus_labels(n):
             trep = canonical_torus_representative(n, tlabel)
-            assert torus_residual(trep, n).max < 1e-9
+            assert torus_residual(trep, n).max() < 1e-9
             assert classify_torus(trep, n) == tlabel
     print("PASS criterion 4: exact representatives with classifier round-trips, n = 1..6")
 
@@ -157,7 +157,7 @@ def test_criterion_7_abelian_representations_are_fixed_and_central():
             *(exp_axis_angle(axis, rng.uniform(-math.pi, math.pi)) for _ in range(6))
         )
         for n in range(0, 9):
-            assert fixed_point_residual(rep, n).max < 1e-8
+            assert fixed_point_residual(rep, n).max() < 1e-8
             assert classify_fix(rep, n, tol=1e-8) == CENTRAL
     print("PASS criterion 7: 1000 abelian tuples are fixed points in the central component")
 
@@ -196,7 +196,7 @@ def test_criterion_9_certificate_soundness():
     base = replace(
         src,
         points=tuple(pts),
-        max_residual=float(residual_array(pts, "fix", src.n).max()),
+        max_residual=float(residual_array(pts, src.n).max()),
         max_step=max(step_between(p.elements(), q.elements()) for p, q in zip(pts, pts[1:])),
     )
     assert verify_certificate(base).ok
@@ -222,7 +222,7 @@ def test_criterion_9_certificate_soundness():
                 v *= rng.uniform(0.03, 0.3) / np.linalg.norm(v)
                 els[j] = exp_tangent(v) * els[j]
                 mutated = SurfaceRep.from_elements(els)
-                if fixed_point_residual(mutated, base.n).max > 3 * base.max_residual:
+                if fixed_point_residual(mutated, base.n).max() > 3 * base.max_residual:
                     doc["points"][idx] = rep_to_dict(mutated, base.n)
                     break
             else:
@@ -252,7 +252,7 @@ def test_criterion_10_intertwiner_and_centralizer():
             # recovered up to the center: the fiber over an irreducible
             # representation is exactly two points
             assert min(result.t.dist(trep.t), result.t.dist(-trep.t)) < 1e-6
-            assert torus_residual(TorusRep(result.t, trep.rep), n).max < 1e-9
+            assert torus_residual(TorusRep(result.t, trep.rep), n).max() < 1e-9
     # fixed points recover a central intertwiner
     rep = canonical_representative(3, ComponentLabel("-", 1, 0))
     result = solve_intertwiner(rep, 3)

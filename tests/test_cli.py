@@ -295,6 +295,27 @@ def test_unread_flags_and_bad_samples_are_input_errors(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("representative", "--n", "3", "--label", "+,0,1"),
+        ("classify", "rep.json"),
+        ("probe", "a.json", "b.json"),
+        ("census", "--n", "2", "--samples", "1"),
+        ("verify", "--n", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tol_must_be_finite_and_positive(argv, value, capsys):
+    # with --tol=nan every residual comparison is false, so an off-variety
+    # point would read as central; --tol=inf passes everything the same way
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tol={value}"])
+    assert exc.value.code == 2
+    assert f"--tol: must be a finite positive number, got {value}" in capsys.readouterr().err
+
+
 def _readme_options_table() -> dict[str, tuple[int, set[str]]]:
     """Subcommand -> (positional count, option flags) from the README table."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -37,6 +37,7 @@ from repvar import cli, components, connectivity, solvers, varieties
 from repvar.commutator import sample_fiber, solve_commutator
 from repvar.su2 import (
     E1,
+    FLOAT_OPS,
     MAX_STEP,
     MINUS_ONE,
     ONE,
@@ -56,7 +57,6 @@ from repvar.varieties import (
     random_surface_rep,
     rep_to_dict,
     residual_array,
-    residual_for,
     save_rep,
     trivial_rep,
 )
@@ -267,7 +267,7 @@ def test_blind_samples_path_and_verify(n, sample):
     # 15), or pass and end within 1e-13 of it, where the frame must be
     # dropped and taken again (62, 71)
     rng = np.random.default_rng([7, sample])
-    proj = varieties.project_to_variety(random_surface_rep(rng), n, "fix", tol=1e-10, max_iter=200)
+    proj = varieties.project_to_variety(random_surface_rep(rng), n, tol=1e-10, max_iter=200)
     assert proj.converged
     cert = canonical_path(proj.rep, n, TOL)
     assert verify_certificate(cert).ok
@@ -363,7 +363,8 @@ def _antipodal_starts():
     ids=["b1-n3", "b1-n4", "commutators-n0", "boundary-b1-n2"],
 )
 def test_antipodal_starts_detour_and_verify(system, n, start, end):
-    assert residual_for(start, system, n).max < 1e-12
+    assert start.system == system
+    assert residual_array([start], n).max() < 1e-12
     path = canonical_path if system == "fix" else canonical_torus_path
     cert = path(start, n, TOL)
     assert verify_certificate(cert).ok
@@ -509,7 +510,7 @@ def _kicked(cert):
     mid = len(pts) // 2
     pts[mid] = replace(pts[mid], a2=exp_tangent((1e-9, 0.0, 0.0)) * pts[mid].a2)
     steps = [step_between(p.elements(), q.elements()) for p, q in zip(pts, pts[1:])]
-    residual = float(residual_array(pts, cert.system, cert.n).max())
+    residual = float(residual_array(pts, cert.n).max())
     return replace(cert, points=tuple(pts), max_residual=residual, max_step=max(steps))
 
 
@@ -525,6 +526,65 @@ def test_verify_rejects_understated_bounds():
     doc = certificate_to_dict(cert)
     doc["tol"] = doc["max_residual"] / 2.0
     assert not verify_certificate(certificate_from_dict(doc)).ok
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf], ids=["nan", "inf"])
+def test_verify_rejects_non_finite_residual_bounds(bound):
+    # the canonical certificate of +,0,1 at n = 3 with A2 of its middle
+    # point kicked 1e-3 off the fixed-point set: rejected with honest
+    # bounds, and NaN or infinite ones must not let it pass, in memory or
+    # as a JSON document (json reads the literals NaN and Infinity)
+    cert = canonical_path(canonical_representative(3, ComponentLabel("+", 0, 1)), 3, TOL)
+    pts = list(cert.points)
+    mid = len(pts) // 2
+    pts[mid] = replace(pts[mid], a2=exp_tangent((1e-3, 0.0, 0.0)) * pts[mid].a2)
+    kicked = replace(cert, points=tuple(pts))
+    assert not verify_certificate(kicked).ok
+    stated = replace(kicked, tol=bound, max_residual=bound)
+    report = verify_certificate(stated)
+    assert f"stated tol {bound} is not finite" in report.problems
+    assert f"stated max_residual {bound} is not finite" in report.problems
+    text = json.dumps(certificate_to_dict(stated))
+    assert ("NaN" if math.isnan(bound) else "Infinity") in text
+    with pytest.raises(ValueError, match=f"^tol: expected a finite number, found {bound}$"):
+        certificate_from_dict(json.loads(text))
+
+
+def test_verify_rejects_a_nan_step_bound():
+    # one 2.32 rad step from a sample of +,0,1 to the canonical point, with
+    # max_step NaN: every comparison with NaN is false
+    label = ComponentLabel("+", 0, 1)
+    ends = (randomized_representative(3, label, np.random.default_rng(1)),
+            canonical_representative(3, label))
+    assert step_between(ends[0].elements(), ends[1].elements()) > 2.3
+    residual = float(residual_array(ends, 3).max())
+    cert = connectivity.PathCertificate("fix", 3, ends, residual, math.nan, label.text(), TOL)
+    assert verify_certificate(cert).problems == ("stated max_step nan is not finite",)
+    with pytest.raises(ValueError, match="^max_step: expected a finite number, found nan$"):
+        certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+
+
+def test_verify_reports_points_of_another_system():
+    # the stated system must be the one the points' class names; a
+    # disagreement is a problem in the report, not an exception
+    for system, other in (("fix", "torus"), ("torus", "fix")):
+        report = verify_certificate(replace(_sample_certificate(system), system=other))
+        assert report.problems == (f"points outside the {other!r} system",)
+    cert = _sample_certificate("fix")
+    pts = list(cert.points)
+    pts[1] = TorusRep(ONE, pts[1])
+    report = verify_certificate(replace(cert, points=tuple(pts)))
+    assert report.problems == ("points outside the 'fix' system",)
+
+
+def test_probe_refuses_endpoints_of_another_system():
+    rep = canonical_representative(3, ComponentLabel("+", 0, 1))
+    trep = TorusRep(ONE, rep)
+    for r0, r1, system in ((rep, rep, "torus"), (trep, trep, "fix"),
+                           (rep, trep, "fix"), (trep, rep, "torus")):
+        with pytest.raises(ValueError, match="system does not take a") as err:
+            probe_path(r0, r1, system, 3, TOL)
+        assert type(err.value) is ValueError
 
 
 def test_verify_rejects_step_bound_above_max_step():
@@ -571,13 +631,22 @@ def test_verify_rejects_step_bound_above_max_step():
         (lambda doc: {**doc, "max_residual": False}, "max_residual: expected float, found False"),
         (lambda doc: {**doc, "max_step": True}, "max_step: expected float, found True"),
         (lambda doc: {**doc, "max_step": False}, "max_step: expected float, found False"),
+        (lambda doc: {**doc, "tol": math.nan}, "tol: expected a finite number, found nan"),
+        (lambda doc: {**doc, "tol": math.inf}, "tol: expected a finite number, found inf"),
+        (lambda doc: {**doc, "max_residual": math.nan},
+         "max_residual: expected a finite number, found nan"),
+        (lambda doc: {**doc, "max_residual": -math.inf},
+         "max_residual: expected a finite number, found -inf"),
+        (lambda doc: {**doc, "max_step": math.nan}, "max_step: expected a finite number, found nan"),
+        (lambda doc: {**doc, "max_step": math.inf}, "max_step: expected a finite number, found inf"),
     ],
     ids=[
         "not-object", "format", "missing-key", "system", "system-surface", "bad-point", "kind",
         "points-int", "points-null", "n-null", "n-float", "tol-null", "tol-list",
         "max-residual-null", "max-residual-list", "max-step-null", "max-step-list",
         "label-null", "n-true", "tol-true", "tol-false", "max-residual-true",
-        "max-residual-false", "max-step-true", "max-step-false",
+        "max-residual-false", "max-step-true", "max-step-false", "tol-nan", "tol-inf",
+        "max-residual-nan", "max-residual-minus-inf", "max-step-nan", "max-step-inf",
     ],
 )
 def test_certificate_from_dict_rejects_malformed_documents(mutate, message):
@@ -756,16 +825,18 @@ def test_probe_points_stable_under_last_bit_residual_changes(monkeypatch):
                 for u, v in zip(r0.elements(), r1.elements())
             ]
             mid = type(r0).from_elements(els)
-            projections.append(varieties.project_to_variety(mid, n, system, tol=1e-10))
+            projections.append(varieties.project_to_variety(mid, n, tol=1e-10))
         return projections, [probe_path(r0, r1, system, n) for system, n, r0, r1 in pairs]
 
     projected, probed = outputs()
-    signed = varieties._signed_residual
-    monkeypatch.setattr(
-        varieties,
-        "_signed_residual",
-        lambda els, system, n: np.nextafter(signed(els, system, n), np.inf),
-    )
+    gaps = varieties._table_gaps
+
+    def last_bit_up(q, system, n, ops):
+        # the residual on floats; the Jacobian's complex steps are left alone
+        out = gaps(q, system, n, ops)
+        return np.nextafter(out, np.inf) if ops is FLOAT_OPS else out
+
+    monkeypatch.setattr(varieties, "_table_gaps", last_bit_up)
     projected_after, probed_after = outputs()
     for a, b in zip(projected, projected_after):
         assert a.converged and b.converged
@@ -800,19 +871,16 @@ def test_batched_residuals_match_float_path(monkeypatch):
         for _ in range(2):
             trep = randomized_torus_representative(-3, label, rng)
             batches.append(("torus", -3, canonical_torus_path(trep, -3, TOL).points))
-    # the float path serves small batches; force the array kernel throughout
+    # one point runs on the float path, which serves small batches; the
+    # trivial tuple is an exact solution there and in the array kernel
+    singles = [[residual_array([p], n)[0] for p in points] for _, n, points in batches]
+    trivial = (trivial_rep(), TorusRep(ONE, trivial_rep()))
+    assert all(residual_array([t], n).max() == 0.0 for t in trivial for n in (-2, 0, 3))
     monkeypatch.setattr(varieties, "_BATCH_MIN", 0)
-    for system, n, points in batches:
-        batch = residual_array(points, system, n)
-        assert batch.shape[0] == len(points)
-        for row, p in zip(batch, points):
-            single = [value for _, value in residual_for(p, system, n).entries]
+    for (system, n, points), rows in zip(batches, singles):
+        assert all(p.system == system for p in points)
+        batch = residual_array(points, n)
+        assert batch.shape == (len(points), len(rows[0]))
+        for row, single in zip(batch, rows):
             assert np.max(np.abs(row - single)) <= 1e-14, (system, n)
-    # the trivial tuple is an exact solution on both paths
-    for n in (-2, 0, 3):
-        triv = [trivial_rep()]
-        assert residual_array(triv, "fix", n).max() == 0.0
-        assert residual_for(triv[0], "fix", n).max == 0.0
-        ttriv = [TorusRep(ONE, trivial_rep())]
-        assert residual_array(ttriv, "torus", n).max() == 0.0
-        assert residual_for(ttriv[0], "torus", n).max == 0.0
+    assert all(residual_array([t], n).max() == 0.0 for t in trivial for n in (-2, 0, 3))

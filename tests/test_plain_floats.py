@@ -74,7 +74,7 @@ def test_randomized_representatives_give_plain_floats(n):
 def test_projection_gives_plain_floats():
     rng = np.random.default_rng(43)
     start = TorusRep(haar_random(rng), random_surface_rep(rng))
-    out = project_to_variety(start, 1, "torus", tol=1e-9, max_iter=20)
+    out = project_to_variety(start, 1, tol=1e-9, max_iter=20)
     assert out.iterations > 0
     assert _all_plain(out.rep.elements())
 
@@ -107,7 +107,7 @@ def test_numpy_components_build_the_same_certificates(system):
         rep = sample(n, label, np.random.default_rng([45, li]))
         twin = rebuild([_as_numpy(el) for el in rep.elements()])
         certs = [
-            _finish(_path_points(r, system, n, label, TOL), system, n, label.text(), TOL)
+            _finish(_path_points(r, n, label, TOL), n, label.text(), TOL)
             for r in (rep, twin)
         ]
         # the twin's path really runs on numpy components

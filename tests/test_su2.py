@@ -23,6 +23,7 @@ from repvar.su2 import (
     geodesic_distance,
     haar_random,
     qpow,
+    random_torus_element,
     step_count,
     stepped,
 )
@@ -140,6 +141,17 @@ def test_haar_determinism_and_moments():
     traces = np.array([haar_random(rng).trace for _ in range(100_000)])
     assert abs(traces.mean()) < 0.05
     assert abs((traces**2).mean() - 1.0) < 0.05
+
+
+def test_random_torus_element_draws_one_angle():
+    # one uniform angle on the axis's maximal torus, as the samplers draw it
+    axis = (0.0, 0.6, 0.8)
+    rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+    for _ in range(20):
+        el = random_torus_element(axis, rng)
+        assert el.dist(exp_axis_angle(axis, twin.uniform(-math.pi, math.pi))) == 0.0
+        assert commutator(el, exp_axis_angle(axis, 0.7)).dist(ONE) < 1e-15
+    assert rng.random() == twin.random()
 
 
 def _carry(rot):

@@ -5,6 +5,7 @@ import pytest
 
 from repvar import components
 from repvar.commutator import solve_commutator
+from repvar.solvers import tangent_jacobian
 from repvar.components import (
     enumerate_fix_labels,
     enumerate_torus_labels,
@@ -14,6 +15,7 @@ from repvar.components import (
 )
 from repvar.su2 import (
     E1,
+    FLOAT_OPS,
     MINUS_ONE,
     ONE,
     SU2,
@@ -28,6 +30,7 @@ from repvar.varieties import (
     SurfaceRep,
     TorusRep,
     centralizer_type,
+    check_system,
     derived_x,
     fixed_point_residual,
     load_rep,
@@ -35,13 +38,12 @@ from repvar.varieties import (
     random_surface_rep,
     rep_from_dict,
     rep_to_dict,
+    residual_array,
     save_rep,
     solve_intertwiner,
-    surface_residual,
     torus_residual,
     trivial_rep,
-    _signed_jacobian,
-    _signed_residual,
+    _table_gaps,
 )
 from repvar.words import SURFACE_GENERATORS, evaluate, phi_substitution, relator
 
@@ -65,38 +67,43 @@ def test_derived_x():
     assert abs(derived_x(rep.conjugate(g)).trace - derived_x(rep).trace) < 1e-12
 
 
+def surface_residual(rep):
+    """The surface relation's residual: the fixed-point system at n = 0."""
+    return residual_array([rep], 0).max()
+
+
 def test_surface_residual():
-    assert surface_residual(trivial_rep()).max == 0.0
+    assert surface_residual(trivial_rep()) == 0.0
     rng = np.random.default_rng(1)
     for _ in range(50):
-        assert surface_residual(random_surface_rep(rng)).max < 1e-10
+        assert surface_residual(random_surface_rep(rng)) < 1e-10
     # flip the sign of the product: residual exactly 2
     rep = random_surface_rep(rng)
     flipped_target = MINUS_ONE * (commutator(rep.a1, rep.b1) * commutator(rep.a2, rep.b2)).inverse()
     a3, b3 = solve_commutator(flipped_target)
     flipped = SurfaceRep(rep.a1, rep.b1, rep.a2, rep.b2, a3, b3)
-    assert surface_residual(flipped).max == pytest.approx(2.0, abs=1e-9)
+    assert surface_residual(flipped) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_fixed_point_residual():
     for n in range(0, 5):
-        assert fixed_point_residual(trivial_rep(), n).max == 0.0
+        assert fixed_point_residual(trivial_rep(), n).max() == 0.0
     rng = np.random.default_rng(2)
     for n in range(0, 9):
         rep = abelian_rep(rng)
-        assert fixed_point_residual(rep, n).max < 1e-10
+        assert fixed_point_residual(rep, n).max() < 1e-10
 
 
 def test_torus_residual():
-    assert torus_residual(TorusRep(ONE, trivial_rep()), 3).max == 0.0
+    assert torus_residual(TorusRep(ONE, trivial_rep()), 3).max() == 0.0
     # non-central T over the trivial surface tuple solves every equation
-    assert torus_residual(TorusRep(SU2(0, 1, 0, 0), trivial_rep()), 1).max < 1e-15
+    assert torus_residual(TorusRep(SU2(0, 1, 0, 0), trivial_rep()), 1).max() < 1e-15
     # an all-commuting seven-tuple solves the system for every n
     rng = np.random.default_rng(3)
     axis = (0.0, 1.0, 0.0)
     for n in range(0, 5):
         trep = TorusRep(exp_axis_angle(axis, 0.9), abelian_rep(rng, axis))
-        assert torus_residual(trep, n).max < 1e-12
+        assert torus_residual(trep, n).max() < 1e-12
 
 
 def test_fix_embeds_in_torus_system():
@@ -106,8 +113,8 @@ def test_fix_embeds_in_torus_system():
     for n in (1, 2, 3):
         for label in enumerate_fix_labels(n):
             rep = randomized_representative(n, label, rng)
-            fix_res = fixed_point_residual(rep, n).max
-            torus_res = torus_residual(TorusRep(ONE, rep), n).max
+            fix_res = fixed_point_residual(rep, n).max()
+            torus_res = torus_residual(TorusRep(ONE, rep), n).max()
             assert torus_res <= 4 * max(fix_res, 1e-12)
 
 
@@ -119,12 +126,15 @@ def test_residuals_are_conjugation_invariant():
     for n in (0, 1, 3):
         a = fixed_point_residual(rep, n)
         b = fixed_point_residual(rep.conjugate(g), n)
-        for (tag_a, va), (tag_b, vb) in zip(a.entries, b.entries):
-            assert tag_a == tag_b and abs(va - vb) < 1e-10
+        assert a.shape == b.shape == (len(FIX_ROWS),) and np.max(np.abs(a - b)) < 1e-10
         a = torus_residual(trep, n)
         b = torus_residual(trep.conjugate(g), n)
-        for (tag_a, va), (tag_b, vb) in zip(a.entries, b.entries):
-            assert tag_a == tag_b and abs(va - vb) < 1e-10
+        assert a.shape == b.shape == (len(TORUS_ROWS),) and np.max(np.abs(a - b)) < 1e-10
+
+
+# the equations of each table, in the order of its rows
+FIX_ROWS = ("relator", "a1", "b1", "a3", "b3")
+TORUS_ROWS = ("relator", "a1", "b1", "a2", "b2", "a3", "b3")
 
 
 def _pullback_gaps(rep: SurfaceRep, n: int, t: SU2 | None) -> dict[str, float]:
@@ -156,7 +166,7 @@ def test_tables_match_word_level_pullback():
             fix_points.append(SurfaceRep(a1, haar_random(rng), i, j, i, j))
         for rep in fix_points:
             oracle = _pullback_gaps(rep, n, None)
-            table = fixed_point_residual(rep, n).as_dict()
+            table = dict(zip(FIX_ROWS, fixed_point_residual(rep, n), strict=True))
             for tag, gap in oracle.items():
                 assert abs(table.get(tag, 0.0) - gap) <= 1e-11, (n, tag)
             checked += 1
@@ -167,12 +177,17 @@ def test_tables_match_word_level_pullback():
         torus_points += [TorusRep(t, rep) for t in (ONE, MINUS_ONE) for rep in fix_points[-4:]]
         for trep in torus_points:
             oracle = _pullback_gaps(trep.rep, n, trep.t)
-            table = torus_residual(trep, n).as_dict()
+            table = dict(zip(TORUS_ROWS, torus_residual(trep, n), strict=True))
             assert set(table) == set(oracle)
             for tag, gap in oracle.items():
                 assert abs(table[tag] - gap) <= 1e-11, (n, tag)
             checked += 1
     assert checked > 100
+
+
+def _signed(elements, system, n):
+    """The table's signed 4-vector differences at the elements, on floats."""
+    return _table_gaps([el.to_list() for el in elements], system, n, FLOAT_OPS)
 
 
 def _central_difference_jacobian(elements, system, n, h=1e-6):
@@ -184,7 +199,7 @@ def _central_difference_jacobian(elements, system, n, h=1e-6):
             plus = [*elements[:i], exp_tangent(step) * el, *elements[i + 1 :]]
             step[axis] = -h
             minus = [*elements[:i], exp_tangent(step) * el, *elements[i + 1 :]]
-            diff = _signed_residual(plus, system, n) - _signed_residual(minus, system, n)
+            diff = _signed(plus, system, n) - _signed(minus, system, n)
             cols.append(diff / (2 * h))
     return np.array(cols).T
 
@@ -214,7 +229,7 @@ def test_table_jacobian_matches_central_differences():
                 on = list(rep.elements())
                 off = [exp_tangent(0.05 * rng.standard_normal(3) / math.sqrt(3)) * el for el in on]
                 for els in (on, off):
-                    exact = _signed_jacobian(els, system, n)
+                    exact = tangent_jacobian(lambda q, ops: _table_gaps(q, system, n, ops), els)
                     assert exact.shape == (4 * (7 if system == "torus" else 5), 3 * len(els))
                     reference = _central_difference_jacobian(els, system, n)
                     assert np.max(np.abs(exact - reference)) <= 1e-7, (system, n)
@@ -237,19 +252,20 @@ def test_project_to_variety():
     rng = np.random.default_rng(7)
     rep = random_surface_rep(rng)
     # already admissible: returned unchanged with zero iterations
-    out = project_to_variety(rep, 0, "fix", tol=1e-9)
+    out = project_to_variety(rep, 0, tol=1e-9)
     assert out.iterations == 0 and out.rep is rep
     # perturbed fixed-point representative reconverges
     from repvar.components import ComponentLabel, randomized_representative
 
     start = randomized_representative(3, ComponentLabel("+", 1, 0), rng)
     els = [exp_tangent(1e-3 * rng.standard_normal(3)) * el for el in start.elements()]
-    out = project_to_variety(SurfaceRep.from_elements(els), 3, "fix", tol=1e-9)
-    assert out.converged and out.report.max < 1e-9
+    out = project_to_variety(SurfaceRep.from_elements(els), 3, tol=1e-9)
+    assert out.converged and out.residual < 1e-9
     # from a random seven-tuple: converges or honestly reports failure
     trep = TorusRep(haar_random(rng), random_surface_rep(rng))
-    out = project_to_variety(trep, 1, "torus", tol=1e-9, max_iter=40)
-    assert out.converged == (out.report.max <= 1e-9)
+    out = project_to_variety(trep, 1, tol=1e-9, max_iter=40)
+    assert out.converged == (out.residual <= 1e-9)
+    assert out.residual == torus_residual(out.rep, 1).max()
 
 
 def test_solve_intertwiner_on_fixed_points():
@@ -259,7 +275,7 @@ def test_solve_intertwiner_on_fixed_points():
     result = solve_intertwiner(rep, 2)
     assert result.ok
     assert min(result.t.dist(ONE), result.t.dist(MINUS_ONE)) < 1e-6
-    assert torus_residual(TorusRep(result.t, rep), 2).max < 1e-9
+    assert torus_residual(TorusRep(result.t, rep), 2).max() < 1e-9
 
 
 def test_solve_intertwiner_recovers_conjugator():
@@ -272,7 +288,7 @@ def test_solve_intertwiner_recovers_conjugator():
         assert result.ok
         # intertwiner unique up to sign on an irreducible representation
         assert min(result.t.dist(trep.t), result.t.dist(-trep.t)) < 1e-6
-        assert torus_residual(TorusRep(result.t, trep.rep), 2).max < 1e-9
+        assert torus_residual(TorusRep(result.t, trep.rep), 2).max() < 1e-9
 
 
 def test_solve_intertwiner_rejects_generic_points():
